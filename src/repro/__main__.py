@@ -529,6 +529,7 @@ def cmd_obs(args) -> int:
 def cmd_serve(args) -> int:
     import asyncio
     import os
+    import signal
 
     from .serve import InferenceServer, InlinePool, ServeWorkerPool
     from .serve.engine import load_network_state
@@ -563,19 +564,24 @@ def cmd_serve(args) -> int:
     )
 
     async def run() -> None:
-        await server.start()
-        print(f"serving {path} (generation {server.generation})")
-        print(f"  tcp://{args.host}:{server.port}")
-        if server.http_address:
-            print(f"  http://{server.http_address}  (/infer /metrics /-/reload)")
+        # SIGTERM takes SIGINT's way out: cancel this task, so the
+        # ``finally`` below reaps the fork workers and their slabs.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         try:
+            await server.start()
+            print(f"serving {path} (generation {server.generation})")
+            print(f"  tcp://{args.host}:{server.port}")
+            if server.http_address:
+                print(f"  http://{server.http_address}  (/infer /metrics /-/reload)")
             await server.serve_forever()
         finally:
             await server.stop()
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("stopping")
     return 0
 

@@ -28,7 +28,7 @@ paper's "the server makes valid navigation decision for each worker".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .. import nn
 from ..nn import functional as F
 from ..env.actions import NUM_MOVES
 
-__all__ = ["PolicyOutput", "CNNActorCritic"]
+__all__ = ["PolicyOutput", "CNNActorCritic", "select_actions"]
 
 MASKED_LOGIT = -1e9
 
@@ -74,17 +74,58 @@ class PolicyOutput:
         The policy factorizes over workers and over the two decision types,
         so the joint log-prob is the sum of the parts.
         """
-        move_lp = self.move_distribution().log_prob(moves).sum(axis=-1)
-        charge_lp = self.charge_distribution().log_prob(
-            np.asarray(charges, dtype=np.float64)
-        ).sum(axis=-1)
-        return move_lp + charge_lp
+        return _joint_log_prob(
+            self.move_distribution(), self.charge_distribution(), moves, charges
+        )
 
     def entropy(self) -> nn.Tensor:
         """(B,) total policy entropy (moves + charges, summed over workers)."""
         move_entropy = self.move_distribution().entropy().sum(axis=-1)
         charge_entropy = self.charge_distribution().entropy().sum(axis=-1)
         return move_entropy + charge_entropy
+
+
+def _joint_log_prob(
+    move_dist: nn.Categorical,
+    charge_dist: nn.Bernoulli,
+    moves: np.ndarray,
+    charges: np.ndarray,
+) -> nn.Tensor:
+    move_lp = move_dist.log_prob(moves).sum(axis=-1)
+    charge_lp = charge_dist.log_prob(
+        np.asarray(charges, dtype=np.float64)
+    ).sum(axis=-1)
+    return move_lp + charge_lp
+
+
+def select_actions(
+    output: PolicyOutput, rngs: Sequence[Optional[np.random.Generator]]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Choose the joint action of every row of ``output``.
+
+    ``rngs[i]`` is row ``i``'s generator, or ``None`` for its greedy
+    (argmax) action.  Returns int64 ``moves`` and ``charges`` of shape
+    (B, W) and the (B,) joint log-probabilities.
+
+    This is the one action selection both the rollout
+    (:meth:`~repro.agents.policy.PPOWorkerAgent.act_full`, ``B = 1``) and
+    the inference service (a coalesced batch) run, which is what makes a
+    served action bitwise-equal to the offline one: every step is either
+    element-wise or a reduction over the last axis, so a row's bits do
+    not depend on the rows stacked around it, and a sampled row draws as
+    a batch of one — moves first, then charges — from its own generator.
+    Call under :class:`repro.nn.no_grad`.
+    """
+    move_dist = output.move_distribution()
+    charge_dist = output.charge_distribution()
+    moves = move_dist.mode()
+    charges = charge_dist.mode()
+    for row, rng in enumerate(rngs):
+        if rng is not None:
+            moves[row] = move_dist.sample(rng, row)[0]
+            charges[row] = charge_dist.sample(rng, row)[0]
+    log_prob = _joint_log_prob(move_dist, charge_dist, moves, charges)
+    return moves, charges, log_prob.data
 
 
 class CNNActorCritic(nn.Module):

@@ -25,7 +25,7 @@ from ..env.env import CrowdsensingEnv
 from ..env.state import STATE_CHANNELS
 from ..obs.trace import span as trace_span
 from .base import EpisodeResult
-from .networks import CNNActorCritic
+from .networks import CNNActorCritic, select_actions
 from .ppo import PPOConfig, PPOStats, make_ppo_planner, ppo_loss, ppo_step
 from .rollout import RolloutBuffer, Transition
 
@@ -146,21 +146,13 @@ class PPOWorkerAgent:
             output = self.network.forward(
                 state, move_mask=move_mask[None], worker_features=worker_features[None]
             )
-            move_dist = output.move_distribution()
-            charge_dist = output.charge_distribution()
-            if greedy:
-                moves = move_dist.mode()[0]
-                charges = charge_dist.mode()[0]
-            else:
-                moves = move_dist.sample(rng)[0]
-                charges = charge_dist.sample(rng)[0]
-            log_prob = float(
-                output.log_prob(moves[None], charges[None]).item()
+            moves, charges, log_prob = select_actions(
+                output, [None if greedy else rng]
             )
             value = float(output.value.item())
         return (
-            Action(charge=charges, move=moves),
-            log_prob,
+            Action(charge=charges[0], move=moves[0]),
+            float(log_prob[0]),
             value,
             move_mask,
             worker_features,

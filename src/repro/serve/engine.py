@@ -10,17 +10,23 @@ contains.  The convolution im2col matmuls are safe: their row count is
 ``B × positions`` (hundreds even at B=1), far past the kernel-switch
 regime, and each sample occupies a contiguous row block.
 
-The served forward therefore runs the conv trunk batched (where the
-batch dimension is nearly free) and the small Linear heads **row by
-row**, concatenating the per-row outputs.  Measured on the bench micro
-this still beats B independent forwards by >2x at B=8 — the convs are
-~80% of the FLOPs — while keeping every row bitwise-equal to ``act_full``.
+The served forward is nevertheless batch-native end to end — nothing in
+it loops over rows in Python:
 
-Sampling mirrors ``act_full`` exactly: each row is re-wrapped as a
-batch-of-one :class:`~repro.agents.networks.PolicyOutput` and pushed
-through the same distribution code, with a fresh
-``np.random.default_rng(seed)`` per sampled request so clients can
-reproduce any served action offline.
+* the conv trunk runs stacked (the batch dimension is nearly free);
+* each small Linear head runs as **one stacked matmul**,
+  ``(B, 1, in) @ (in, out)``, which numpy executes as ``B`` independent
+  ``M = 1`` products and which therefore carries, per row, exactly the
+  bits of a batch of one (:func:`_rowwise`;
+  ``tests/serve/test_parity.py`` pins the numpy property itself);
+* the action of every row is chosen in one pass by
+  :func:`repro.agents.networks.select_actions` — the function
+  ``act_full`` itself calls with ``B = 1`` — over one ``(B, …)``
+  :class:`~repro.agents.networks.PolicyOutput`: one ``mode()``, one
+  ``log_prob()`` (element-wise ops and last-axis reductions, so rows
+  do not see each other), and only sampled rows draw, each as a batch
+  of one from a fresh ``np.random.default_rng(seed)`` so clients can
+  reproduce any served action offline.
 
 The forward runs under :class:`repro.nn.no_grad` through a
 :class:`repro.nn.ForwardPlanner` (PR 9 executor, forward-only plans) —
@@ -40,7 +46,12 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import nn
-from ..agents.networks import CNNActorCritic, MASKED_LOGIT, PolicyOutput
+from ..agents.networks import (
+    CNNActorCritic,
+    MASKED_LOGIT,
+    PolicyOutput,
+    select_actions,
+)
 from ..distributed.checkpoint import (
     CheckpointCorruptError,
     _payload_checksum,
@@ -153,15 +164,17 @@ def network_from_state(state: Dict[str, np.ndarray], grid: int) -> CNNActorCriti
 
 
 def _rowwise(layer: nn.Linear, x: nn.Tensor) -> nn.Tensor:
-    """Apply a Linear layer one row at a time (bitwise row parity).
+    """Apply a Linear layer to ``(B, in)`` rows with bitwise row parity.
 
     OpenBLAS dgemm output depends on the row count M for small M, so a
-    stacked ``(B, in)`` matmul differs from its ``(1, in)`` rows in the
-    last bits.  Row-at-a-time application pins M=1 for every row.
+    plain ``(B, in)`` matmul differs from its ``(1, in)`` rows in the
+    last bits.  Stacked as ``(B, 1, in)`` the product is one matmul call
+    that numpy runs as B independent ``M = 1`` products — the very
+    kernel, on the very operands, a batch of one gets.
     """
-    if x.shape[0] == 1:
-        return layer(x)
-    return nn.concat([layer(x[i : i + 1]) for i in range(x.shape[0])], axis=0)
+    batch = x.shape[0]
+    stacked = layer(x.reshape(batch, 1, layer.in_features))
+    return stacked.reshape(batch, layer.out_features)
 
 
 class PolicyEngine:
@@ -331,39 +344,36 @@ class PolicyEngine:
                 "worker_features_flat": features,
             }
         )
-        generation = self.generation
-        results = []
         with nn.no_grad():
-            for i, request in enumerate(requests):
-                # A batch-of-one view of row i: bitwise-identical inputs to
-                # act_full's forward, pushed through the same sampling code.
-                output = PolicyOutput(
-                    move_logits=nn.Tensor(outputs["move_logits"][i : i + 1]),
-                    charge_logits=nn.Tensor(outputs["charge_logits"][i : i + 1]),
-                    value=nn.Tensor(outputs["value"][i : i + 1]),
-                )
-                move_dist = output.move_distribution()
-                charge_dist = output.charge_distribution()
-                if request.greedy:
-                    moves = move_dist.mode()[0]
-                    charges = charge_dist.mode()[0]
-                else:
-                    rng = np.random.default_rng(request.seed)
-                    moves = move_dist.sample(rng)[0]
-                    charges = charge_dist.sample(rng)[0]
-                log_prob = float(output.log_prob(moves[None], charges[None]).item())
-                value = float(output.value.item())
-                results.append(
-                    InferResult(
-                        moves=np.asarray(moves, dtype=np.int64),
-                        charges=np.asarray(charges, dtype=np.int64),
-                        log_prob=log_prob,
-                        value=value,
-                        generation=generation,
-                        cached=False,
-                        batch_size=len(requests),
-                    )
-                )
+            output = PolicyOutput(
+                move_logits=nn.Tensor(outputs["move_logits"]),
+                charge_logits=nn.Tensor(outputs["charge_logits"]),
+                value=nn.Tensor(outputs["value"]),
+            )
+            # A fresh default_rng(seed) per sampled request, so a client
+            # can reproduce any served action offline.
+            moves, charges, log_probs = select_actions(
+                output,
+                [
+                    None if r.greedy else np.random.default_rng(r.seed)
+                    for r in requests
+                ],
+            )
+        generation = self.generation
+        results = [
+            InferResult(
+                moves=row_moves,
+                charges=row_charges,
+                log_prob=log_prob,
+                value=value,
+                generation=generation,
+                cached=False,
+                batch_size=len(requests),
+            )
+            for row_moves, row_charges, log_prob, value in zip(
+                moves, charges, log_probs.tolist(), outputs["value"].tolist()
+            )
+        ]
         self.batches += 1
         self.rows += len(requests)
         return results

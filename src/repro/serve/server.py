@@ -5,7 +5,12 @@ Front doors
 * **Framed TCP** (primary): the PR 6 codec, one ``T_CONTROL`` frame per
   message (see :mod:`repro.serve.protocol`).  Connections are
   pipelined — every request frame becomes its own task, so one
-  connection's requests coalesce into batches like independent clients.
+  connection's requests coalesce into batches like independent clients —
+  and replies leave through a per-connection outbox written once per
+  event-loop tick (:class:`_Outbox`), so a burst of replies is one
+  socket write and one client wake-up; the read loop waits on
+  ``drain()`` between chunks, so a client that stops reading its
+  replies stops being read.
 * **JSON/HTTP** (thin): a ``ThreadingHTTPServer`` on a daemon thread in
   the :mod:`repro.obs.server` style.  ``POST /infer`` bridges into the
   event loop with ``run_coroutine_threadsafe``; ``GET /metrics`` exposes
@@ -340,8 +345,9 @@ class InferenceServer:
     ) -> None:
         task = asyncio.current_task()
         self._conn_tasks.add(task)
+        loop = asyncio.get_running_loop()
         assembler = FrameAssembler()
-        write_lock = asyncio.Lock()
+        outbox = _Outbox(writer, loop)
         frame_tasks: set = set()
         try:
             while True:
@@ -357,16 +363,21 @@ class InferenceServer:
                 for ftype, __, payload in frames:
                     if ftype != T_CONTROL:
                         continue
-                    frame_task = asyncio.get_running_loop().create_task(
-                        self._handle_frame(payload, writer, write_lock)
+                    frame_task = loop.create_task(
+                        self._handle_frame(payload, outbox)
                     )
                     frame_tasks.add(frame_task)
                     frame_task.add_done_callback(frame_tasks.discard)
-        except (ConnectionResetError, asyncio.CancelledError):
+                # Flow control: a client that stops reading its replies
+                # stops being read, so what the server owes it is bounded
+                # by the transport's high-water mark plus one chunk.
+                await writer.drain()
+        except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
             if frame_tasks:
                 await asyncio.gather(*frame_tasks, return_exceptions=True)
+            outbox.flush()  # close() sends what is buffered before closing
             writer.close()
             try:
                 await writer.wait_closed()
@@ -374,12 +385,7 @@ class InferenceServer:
                 pass
             self._conn_tasks.discard(task)
 
-    async def _handle_frame(
-        self,
-        payload: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
+    async def _handle_frame(self, payload: bytes, outbox: "_Outbox") -> None:
         seq = -1
         try:
             kind, seq, message = decode_message(payload)
@@ -398,12 +404,36 @@ class InferenceServer:
             _LOG.warning("serve request failed", exc_info=True)
             self._m_requests.labels(outcome="error").inc()
             reply = encode_error(seq, f"internal error: {error}")
-        async with write_lock:
-            try:
-                writer.write(reply)
-                await writer.drain()
-            except (ConnectionResetError, OSError):
-                pass
+        outbox.post(reply)
+
+
+class _Outbox:
+    """One connection's reply frames, written once per event-loop tick.
+
+    Pipelined replies become ready in bursts — a coalesced batch resolves
+    all its rows in one tick, a chunk of cache hits answers in one tick —
+    and a ``write`` per reply costs a ``send`` syscall, a TCP segment and
+    a client wake-up each.  Replies queue here instead and one
+    ``call_soon`` callback writes the burst whole, after every task that
+    is ready in the same tick has queued its own.
+    """
+
+    def __init__(self, writer: asyncio.StreamWriter, loop: asyncio.AbstractEventLoop):
+        self._writer = writer
+        self._loop = loop
+        self._frames: list = []
+
+    def post(self, frame: bytes) -> None:
+        if not self._frames:
+            self._loop.call_soon(self.flush)
+        self._frames.append(frame)
+
+    def flush(self) -> None:
+        frames, self._frames = self._frames, []
+        # A peer that is gone is owed nothing; writing to its closing
+        # transport would only make asyncio log "socket.send() raised".
+        if frames and not self._writer.transport.is_closing():
+            self._writer.writelines(frames)
 
 
 class _HttpHandler(BaseHTTPRequestHandler):

@@ -8,13 +8,20 @@ contract is *bitwise* identity with it, so fixtures hand tests matched
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
 
+import repro
+from repro.agents import PPOConfig
 from repro.agents.policy import PPOWorkerAgent
-from repro.env import CrowdsensingEnv
+from repro.distributed import TrainConfig, build_trainer, save_checkpoint
+from repro.env import CrowdsensingEnv, smoke_config
 from repro.serve import InferRequest
 
 
@@ -28,6 +35,60 @@ def network_state(agent):
     return agent.network.state_dict()
 
 
+def tiny_scenario():
+    """The root ``tiny_config`` fixture's scenario, for fixtures of wider
+    scope than a test function."""
+    return smoke_config(seed=3, horizon=12, num_pois=12, num_workers=2)
+
+
+@pytest.fixture(scope="session")
+def checkpoint_file(tmp_path_factory) -> str:
+    """A real ``save_checkpoint`` archive (untrained weights) for the CLI."""
+    trainer = build_trainer(
+        "cews",
+        tiny_scenario(),
+        train=TrainConfig(num_employees=1, episodes=1, k_updates=1, seed=0),
+        ppo=PPOConfig(batch_size=8, epochs=1),
+    )
+    try:
+        path = tmp_path_factory.mktemp("serve-ckpt") / "ckpt.npz"
+        return str(save_checkpoint(trainer, path))
+    finally:
+        trainer.close()
+
+
+@contextmanager
+def serve_cli(checkpoint: str, *options: str):
+    """``python -m repro serve`` on free ports; yields the process and its
+    banner lines (read up to the last one the CLI prints before serving)."""
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONUNBUFFERED"] = "1"
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--checkpoint", checkpoint,
+         "--port", "0", "--http-port", "0", *options],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        banner = []
+        for line in process.stdout:
+            banner.append(line)
+            if "http://" in line:
+                break
+        assert banner and "http://" in banner[-1], (
+            f"serve CLI exited during start-up (code {process.poll()}): {banner}"
+        )
+        yield process, banner
+    finally:
+        if process.poll() is None:
+            process.kill()
+        process.wait(timeout=30)
+        process.stdout.close()
+
+
 class Expected:
     """Offline act_full output for one captured request."""
 
@@ -36,6 +97,20 @@ class Expected:
         self.charges = charges
         self.log_prob = log_prob
         self.value = value
+
+
+def request_of(env: CrowdsensingEnv, seed: Optional[int]) -> InferRequest:
+    """The request a fleet in ``env``'s current state would send: greedy
+    when ``seed`` is ``None``, seeded sampling otherwise."""
+    return InferRequest(
+        state=np.ascontiguousarray(env._state(), dtype=np.float64),
+        move_mask=np.ascontiguousarray(env.valid_moves(), dtype=bool),
+        worker_features=np.ascontiguousarray(
+            PPOWorkerAgent.worker_features_of(env), dtype=np.float64
+        ),
+        greedy=seed is None,
+        seed=seed,
+    ).validate()
 
 
 def capture_cases(
@@ -56,20 +131,12 @@ def capture_cases(
     cases: List[Tuple[InferRequest, Expected]] = []
     for seed in seeds[:steps]:
         state = env._state()
-        move_mask = env.valid_moves()
-        worker_features = agent.worker_features_of(env)
         greedy = seed is None
         rng = np.random.default_rng(0 if greedy else seed)
         action, log_prob, value, __, __ = agent.act_full(
             env, rng, greedy=greedy, state=state
         )
-        request = InferRequest(
-            state=np.ascontiguousarray(state, dtype=np.float64),
-            move_mask=np.ascontiguousarray(move_mask, dtype=bool),
-            worker_features=np.ascontiguousarray(worker_features, dtype=np.float64),
-            greedy=greedy,
-            seed=None if greedy else seed,
-        ).validate()
+        request = request_of(env, seed)
         cases.append(
             (request, Expected(action.move, action.charge, log_prob, value))
         )

@@ -9,29 +9,48 @@ additionally checks shared-memory hygiene.
 import asyncio
 import glob
 import json
+import signal
+import socket
 import threading
+import time
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.distributed.transport.framing import (
+    FrameAssembler,
+    T_CONTROL,
+    encode_control,
+    encode_frame,
+)
 from repro.env import CrowdsensingEnv
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     InferenceServer,
+    InferRequest,
     InlinePool,
     Overloaded,
+    PolicyEngine,
     ServeClient,
     ServeWorkerPool,
 )
+from repro.serve.protocol import (
+    decode_message,
+    encode_infer,
+    encode_info,
+    encode_result,
+)
 
-from .conftest import assert_bitwise, capture_cases
+from .conftest import assert_bitwise, capture_cases, serve_cli
 
 
 class ServerThread:
     """An InferenceServer running on its own event loop thread."""
 
-    def __init__(self, pool, **kwargs):
+    def __init__(self, pool, server_cls=InferenceServer, **kwargs):
+        self._server_cls = server_cls
         kwargs.setdefault("registry", MetricsRegistry())
         kwargs.setdefault("port", 0)
         kwargs.setdefault("http_port", 0)
@@ -51,7 +70,7 @@ class ServerThread:
             self._ready.set()
 
     async def _amain(self):
-        self.server = InferenceServer(self._pool, **self._kwargs)
+        self.server = self._server_cls(self._pool, **self._kwargs)
         await self.server.start()
         self.loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
@@ -152,6 +171,205 @@ class TestTcpFrontDoor:
                 info = client.info()
         assert info["generation"] == 1
         assert info["max_batch"] == 3
+
+
+def read_replies(sock, count=None):
+    """Decoded ``(kind, seq, body)`` replies off ``sock`` — ``count`` of
+    them, or all until the server closes — and how many ``recv`` calls
+    returned data.  The assembler checks every frame's CRC, so replies
+    that interleaved on the wire raise here."""
+    assembler = FrameAssembler()
+    replies = []
+    recvs = 0
+    while count is None or len(replies) < count:
+        data = sock.recv(1 << 16)
+        if not data:
+            assert count is None, "server closed the connection early"
+            break
+        recvs += 1
+        assembler.feed(data)
+        replies.extend(
+            decode_message(payload)
+            for ftype, __, payload in assembler.iter_frames()
+            if ftype == T_CONTROL
+        )
+    assert assembler.pending_bytes == 0
+    return replies, recvs
+
+
+class TestReplyOutbox:
+    """Replies leave through a per-connection outbox flushed once per
+    event-loop tick, with the read loop gated on ``drain()``."""
+
+    def test_pipelined_replies_coalesce_and_never_interleave(
+        self, network_state, cases
+    ):
+        frames_per_conn = 64
+        hits = [cases[0][0], cases[1][0]]
+        reference = PolicyEngine(network_state)
+
+        def script(conn):
+            """(frame, expected kind, request or None) per position."""
+            out = []
+            for i in range(frames_per_conn):
+                seq = 1000 * conn + i
+                if i == 20:
+                    out.append((encode_info(seq), "served", None))
+                elif i == 41:
+                    # Sampled without a seed: refused at decode time,
+                    # before the seq is known to the handler.
+                    bad = encode_control(
+                        "infer",
+                        seq,
+                        {
+                            "state": hits[0].state,
+                            "move_mask": hits[0].move_mask,
+                            "worker_features": hits[0].worker_features,
+                            "greedy": False,
+                        },
+                    )
+                    out.append((encode_frame(T_CONTROL, bad), "error", None))
+                elif i % 2 == 0:
+                    request = hits[(i // 2) % 2]
+                    out.append((encode_infer(request, seq), "result", request))
+                else:
+                    base = cases[2 + i % 4][0]
+                    request = InferRequest(  # a seed nobody sent before: a miss
+                        state=base.state,
+                        move_mask=base.move_mask,
+                        worker_features=base.worker_features,
+                        greedy=False,
+                        seed=seq,
+                    )
+                    out.append((encode_infer(request, seq), "result", request))
+            return out
+
+        outcomes = {}
+
+        def drive(conn, port):
+            try:
+                sent = script(conn)
+                with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                    sock.sendall(b"".join(frame for frame, __, __ in sent))
+                    outcomes[conn] = (sent, *read_replies(sock, len(sent)))
+            except Exception as error:
+                outcomes[conn] = error
+
+        pool = InlinePool(network_state, generation=1)
+        with ServerThread(pool, max_batch=8, max_delay=0.002) as harness:
+            with ServeClient("127.0.0.1", harness.port) as client:
+                for request in hits:
+                    client.infer_request(request)
+            threads = [
+                threading.Thread(target=drive, args=(conn, harness.port))
+                for conn in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            cache = harness.server.cache.stats()
+
+        for conn in range(2):
+            assert not isinstance(outcomes[conn], Exception), outcomes[conn]
+            sent, replies, recvs = outcomes[conn]
+            assert len(replies) == frames_per_conn
+            by_seq = {seq: (kind, body) for kind, seq, body in replies}
+            assert len(by_seq) == frames_per_conn  # each answered exactly once
+            for i, (__, kind, request) in enumerate(sent):
+                seq = -1 if kind == "error" else 1000 * conn + i
+                got_kind, body = by_seq[seq]
+                assert got_kind == kind
+                if request is not None:
+                    [expected] = reference.infer_batch([request])
+                    assert np.array_equal(body["moves"], expected.moves)
+                    assert np.array_equal(body["charges"], expected.charges)
+                    assert body["log_prob"] == expected.log_prob
+                    assert body["value"] == expected.value
+                    assert body["cached"] == (i % 2 == 0)
+            # Coalescing is observable from outside: fewer wake-ups than
+            # reply frames.
+            assert recvs < frames_per_conn
+        assert cache["hits"] == 2 * 31 and cache["misses"] == 2 + 2 * 31
+
+    def test_client_that_never_reads_stops_being_read(self, network_state, cases):
+        writers = []
+
+        class SpyServer(InferenceServer):
+            async def _serve_conn(self, reader, writer):
+                writers.append(writer)
+                await super()._serve_conn(reader, writer)
+
+        request, __ = cases[0]
+        pipelined = 512
+        pool = InlinePool(network_state, generation=1)
+        with ServerThread(pool, server_cls=SpyServer) as harness:
+            with ServeClient("127.0.0.1", harness.port) as client:
+                first = client.infer_request(request)  # the rest are cache hits
+            reply_len = len(encode_result(first, pipelined))
+            request_len = len(encode_infer(request, pipelined))
+            # Small kernel buffers on both ends (accepted sockets inherit
+            # the listener's), so what the server owes sits in its
+            # transport's buffer where flow control can see it.
+            listener = harness.server._server.sockets[0]
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            stuck = socket.socket()
+            try:
+                stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                stuck.settimeout(0.5)
+                stuck.connect(("127.0.0.1", harness.port))
+                frames = b"".join(
+                    encode_infer(request, seq) for seq in range(pipelined)
+                )
+                try:
+                    stuck.sendall(frames)
+                except socket.timeout:
+                    pass  # the server stopped reading us: the point
+                transport = writers[-1].transport
+                high = transport.get_write_buffer_limits()[1]
+                # Per read chunk the loop queues that chunk's replies and
+                # then waits on drain().
+                bound = high + ((1 << 16) // request_len + 2) * reply_len
+                assert bound < pipelined * reply_len  # the bound bites
+                size, stable_since = -1, time.monotonic()
+                deadline = time.monotonic() + 20
+                while time.monotonic() - stable_since < 0.5:
+                    assert time.monotonic() < deadline, "write buffer never settled"
+                    now = transport.get_write_buffer_size()
+                    if now != size:
+                        size, stable_since = now, time.monotonic()
+                    time.sleep(0.02)
+                assert high < size <= bound
+                # The stalled connection does not stall the server.
+                other, expected = cases[1]
+                with ServeClient("127.0.0.1", harness.port) as client:
+                    assert_bitwise(client.infer_request(other), expected)
+            finally:
+                stuck.close()
+
+    def test_half_closing_client_gets_every_reply_it_is_owed(
+        self, network_state, cases
+    ):
+        pool = InlinePool(network_state, generation=1)
+        # A long coalescing window: every reply is still owed when the
+        # server reads the client's EOF.
+        with ServerThread(pool, max_batch=8, max_delay=0.05) as harness:
+            with socket.create_connection(("127.0.0.1", harness.port), timeout=30) as sock:
+                sock.sendall(
+                    b"".join(
+                        encode_infer(request, seq)
+                        for seq, (request, __) in enumerate(cases)
+                    )
+                )
+                sock.shutdown(socket.SHUT_WR)
+                replies, __ = read_replies(sock)
+        assert sorted(seq for __, seq, __ in replies) == list(range(len(cases)))
+        for kind, seq, body in replies:
+            assert kind == "result"
+            expected = cases[seq][1]
+            assert np.array_equal(body["moves"], expected.moves)
+            assert body["log_prob"] == expected.log_prob
 
 
 class TestHttpFrontDoor:
@@ -388,6 +606,41 @@ class TestForkWorkerPool:
             assert handle.call(OP_RELOAD, 2) == 2  # repeat: no-op, no crash
         finally:
             pool.shutdown()
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestCliSignals:
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+    def test_signal_stops_the_cli_and_leaves_nothing_behind(
+        self, checkpoint_file, signum
+    ):
+        """SIGTERM (what a supervisor sends) takes SIGINT's graceful path:
+        the fork worker is reaped and its weight slab unlinked."""
+        before_shm = set(glob.glob("/dev/shm/repro-shm-*"))
+        with serve_cli(checkpoint_file, "--workers", "1") as (process, __):
+            children = [
+                int(pid)
+                for pid in Path(
+                    f"/proc/{process.pid}/task/{process.pid}/children"
+                ).read_text().split()
+            ]
+            assert children, "the CLI forked no worker"
+            assert set(glob.glob("/dev/shm/repro-shm-*")) - before_shm
+            process.send_signal(signum)
+            assert process.wait(timeout=5) == 0
+            assert "stopping" in process.stdout.read()
+        deadline = time.monotonic() + 5
+        while any(_alive(pid) for pid in children) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in children if _alive(pid)] == []
+        assert set(glob.glob("/dev/shm/repro-shm-*")) == before_shm
 
 
 class TestRequestValidation:
