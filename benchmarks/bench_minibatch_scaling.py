@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Minibatch-update ablation: execution-plan layers and shard fan-out.
+"""Minibatch update: execution plan vs tape, and shard fan-out.
 
-What produced the committed ``BENCH_9.json`` (and what the CI ``perf``
-job re-runs as a machine-relative gate)::
+What produced the committed ``BENCH_9.json`` (its two extra ``plan_*``
+ablation cells describe plan layers that have since been deleted) and
+what the CI ``perf`` job re-runs as a machine-relative gate::
 
     python benchmarks/bench_minibatch_scaling.py --json minibatch.json
     python benchmarks/check_perf_regression.py minibatch.json --minibatch
@@ -11,13 +12,11 @@ Two sections:
 
 **micro** — the taped PPO minibatch update (identical workload to
 ``test_ppo_minibatch_loss_and_backward`` in ``test_substrate_micro.py``)
-under four substrate variants: the raw autograd tape, the full execution
-plan (arena + fusion), the plan with the arena disabled, and the plan
-with elementwise fusion disabled.  The plan variants assert that every
-*measured* call replayed a validated plan (``planner.stats``), so the
-numbers can never silently describe a tape fallback.  This is
-machine-relative: the ``speedup_vs_tape`` ratios are meaningful on any
-box, which is what the CI gate checks.
+on the raw autograd tape and on the execution plan.  The plan variant
+asserts that every *measured* call replayed a validated plan
+(``planner.stats``), so the number can never silently describe a tape
+fallback.  This is machine-relative: the ``speedup_vs_tape`` ratio is
+meaningful on any box, which is what the CI gate checks.
 
 **shard_scaling** — one PPO minibatch sharded across the PR 5
 ``ProcessEmployeePool`` workers via ``OP_SHARD`` (the tentpole's
@@ -60,13 +59,8 @@ from repro.distributed import TrainConfig, build_trainer  # noqa: E402
 from repro.distributed.procpool import OP_SHARD  # noqa: E402
 from repro.env import CrowdsensingEnv, smoke_config  # noqa: E402
 
-#: Plan-layer ablation variants: name -> (arena, fuse); None = tape.
-MICRO_VARIANTS = {
-    "tape": None,
-    "plan": (True, True),
-    "plan_noarena": (False, True),
-    "plan_nofusion": (True, False),
-}
+#: Substrate variants: name -> whether the update runs through a planner.
+MICRO_VARIANTS = {"tape": False, "plan": True}
 
 
 def _micro_fixture(batch_size: int):
@@ -82,11 +76,8 @@ def _micro_fixture(batch_size: int):
 def bench_micro(repeats: int, batch_size: int) -> dict:
     agent, batch = _micro_fixture(batch_size)
     cells: dict = {}
-    for name, toggles in MICRO_VARIANTS.items():
-        planner = None
-        if toggles is not None:
-            arena, fuse = toggles
-            planner = make_ppo_planner(agent.network, agent.ppo, arena=arena, fuse=fuse)
+    for name, planned in MICRO_VARIANTS.items():
+        planner = make_ppo_planner(agent.network, agent.ppo) if planned else None
         for __ in range(3):  # warm: first call builds + byte-validates the plan
             agent.network.zero_grad()
             ppo_step(agent.network, batch, agent.ppo, planner=planner)
@@ -217,7 +208,7 @@ def main(argv=None) -> int:
             "scale": "smoke",
         },
     }
-    print(f"minibatch substrate ablation on {results['machine']['cores']} core(s)")
+    print(f"minibatch substrate benchmark on {results['machine']['cores']} core(s)")
 
     results["micro"] = bench_micro(args.repeats, args.micro_batch_size)
     tape = results["micro"]["tape"]["mean_s"]

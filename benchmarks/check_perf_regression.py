@@ -34,7 +34,7 @@ run at smoke scale.
 
 ``--minibatch`` switches to the execution-plan gate: the positional
 argument is then a ``bench_minibatch_scaling.py --json`` dump and the
-check fails when the planned update (arena + fusion) is not at least
+check fails when the planned update is not at least
 2x faster than the *recorded PR-4 tape mean* in ``BENCH_4.json``,
 modulo the same noise ``threshold`` every other gate gets.  The shard
 fan-out cells are reported but never gated — they are honest

@@ -293,16 +293,36 @@ def _build_trainer(args, episodes=None):
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_train(args) -> int:
+    import signal
+
     from .analysis import SanitizerError
     from .distributed import save_checkpoint
     from .experiments.training import resume_or_start
 
-    with _Observability(args):
-        try:
-            return _run_train(args, save_checkpoint, resume_or_start)
-        except SanitizerError as error:
-            print(f"sanitizer caught: {error}")
-            return 1
+    owner = os.getpid()
+
+    def interrupt(signum, frame):
+        # SIGTERM (what a supervisor sends) takes SIGINT's way out.  Its
+        # default action skips ``finally: trainer.close()`` and the
+        # pool's atexit hook, leaving employee processes and /dev/shm
+        # slabs behind.  Forked employees inherit this handler; for them
+        # SIGTERM must stay fatal, or ``Process.terminate()`` raises an
+        # exception in the worker instead of stopping it.
+        if os.getpid() == owner:
+            raise KeyboardInterrupt
+        signal.signal(signum, signal.SIG_DFL)
+        os.kill(os.getpid(), signum)
+
+    previous = signal.signal(signal.SIGTERM, interrupt)
+    try:
+        with _Observability(args):
+            try:
+                return _run_train(args, save_checkpoint, resume_or_start)
+            except SanitizerError as error:
+                print(f"sanitizer caught: {error}")
+                return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def _run_train(args, save_checkpoint, resume_or_start) -> int:

@@ -199,20 +199,9 @@ def _ppo_stats(outs: dict, config: PPOConfig) -> PPOStats:
     )
 
 
-def make_ppo_planner(
-    network: CNNActorCritic,
-    config: PPOConfig,
-    arena: bool | None = None,
-    fuse: bool | None = None,
-) -> nn.Planner:
-    """An execution planner over this network's PPO update program.
-
-    ``arena``/``fuse`` override the planner's env-derived defaults; the
-    ablation benchmark uses them to measure each layer in isolation.
-    """
-    return nn.Planner(
-        _ppo_program(network, config), loss="loss", name="ppo", arena=arena, fuse=fuse
-    )
+def make_ppo_planner(network: CNNActorCritic, config: PPOConfig) -> nn.Planner:
+    """An execution planner over this network's PPO update program."""
+    return nn.Planner(_ppo_program(network, config), loss="loss", name="ppo")
 
 
 def ppo_loss(

@@ -30,8 +30,7 @@ serial, thread, process and socket backends**:
 Sharded bits are **not** the unsharded bits (float addition is not
 associative), which is why ``TrainConfig.shard_minibatch`` defaults to 1
 and the mode is opt-in; within the sharded mode the four backends agree
-bitwise, and shard gradients never alias plan arena storage
-(``GradientPack`` arrays are copies by construction — see RPL018).
+bitwise.
 """
 
 from __future__ import annotations

@@ -50,12 +50,6 @@ RPL012    no-raw-socket-io        socket construction and ``send``/``recv``
 RPL017    no-naked-span           ``Tracer.span(...)`` builds a context
                                   manager: a bare call statement records
                                   nothing — it must be entered via ``with``
-RPL018    no-arena-escape         execution-plan arena slabs are overwritten by
-                                  every replay; ``<arena>.buffer(...)`` results
-                                  must not be returned, yielded or stashed on
-                                  self/module state (copy out instead; the plan
-                                  machinery in ``repro.nn.executor``/``arena``
-                                  is exempt)
 ========  ======================  ==============================================
 
 Whole-program rules (RPL013 lock-order-cycle, RPL014 rng-provenance,
@@ -1141,114 +1135,4 @@ def check_naked_span(context: ModuleContext) -> Iterator[Finding]:
                 node,
                 "naked span: the call builds a context manager and records "
                 "nothing until entered — wrap it in `with ...:`",
-            )
-
-
-# ----------------------------------------------------------------------
-# RPL018 — no arena escape
-# ----------------------------------------------------------------------
-# Arena slabs (PR 9's episode-scoped allocator, :mod:`repro.nn.arena`)
-# are only valid until the owning plan's next ``Arena.begin()``: every
-# replay overwrites them in place.  Any reference that outlives the
-# replay — returned to a caller, yielded, or stashed on ``self`` or at
-# module level — silently changes value on the next step, the exact
-# class of aliasing bug the executor's escape analysis (copy-out on
-# plan outputs, fresh ``zeros_like`` for gradients) exists to prevent.
-# This rule keeps framework code honest: outside the plan machinery
-# itself (``repro/nn/executor.py`` and ``repro/nn/arena.py``, which hand
-# buffers around by design), ``<arena>.buffer(...)`` results must stay
-# function-local.  The runtime cousin is
-# :func:`repro.nn.arena.is_arena_backed`, which escape tests assert on.
-_RPL018_EXEMPT_PATHS = ("repro/nn/executor.py", "repro/nn/arena.py")
-
-
-def _rpl018_is_buffer_call(node: ast.AST) -> bool:
-    """``<receiver>.buffer(...)`` where the receiver names an arena."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    if not isinstance(func, ast.Attribute) or func.attr != "buffer":
-        return False
-    dotted = _dotted(func.value)
-    return dotted is not None and "arena" in dotted.lower()
-
-
-@rule(
-    "RPL018",
-    "no-arena-escape",
-    "arena slab references must not outlive one plan replay: "
-    "`<arena>.buffer(...)` results are overwritten by the next "
-    "`Arena.begin()`, so returning, yielding or stashing them on "
-    "self/module state aliases dead data — copy out instead "
-    "(plan machinery in repro.nn.executor/arena is exempt)",
-)
-def check_arena_escape(context: ModuleContext) -> Iterator[Finding]:
-    if context.is_test or context.path_matches(_RPL018_EXEMPT_PATHS):
-        return
-
-    def scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-        """Walk one function body without descending into nested defs
-        (each nested function is visited as its own scope)."""
-        for child in ast.iter_child_nodes(scope):
-            yield child
-            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from scope_nodes(child)
-
-    def visit(scope: ast.AST) -> Iterator[Finding]:
-        #: function-local names bound (directly) to an arena buffer.
-        tainted: Set[str] = set()
-
-        def value_is_arena(value: ast.AST) -> bool:
-            if _rpl018_is_buffer_call(value):
-                return True
-            return isinstance(value, ast.Name) and value.id in tainted
-
-        for node in scope_nodes(scope):
-            if isinstance(node, ast.Assign):
-                if value_is_arena(node.value):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            tainted.add(target.id)
-                        elif isinstance(target, ast.Attribute):
-                            yield _finding(
-                                context,
-                                "RPL018",
-                                node,
-                                "arena escape: slab reference stored on an "
-                                "attribute outlives the replay that filled "
-                                "it — copy the array out instead",
-                            )
-            elif isinstance(node, ast.Return) and node.value is not None:
-                if value_is_arena(node.value):
-                    yield _finding(
-                        context,
-                        "RPL018",
-                        node,
-                        "arena escape: returning a slab reference hands the "
-                        "caller memory the next Arena.begin() invalidates — "
-                        "return a copy",
-                    )
-            elif isinstance(node, (ast.Yield, ast.YieldFrom)):
-                value = getattr(node, "value", None)
-                if value is not None and value_is_arena(value):
-                    yield _finding(
-                        context,
-                        "RPL018",
-                        node,
-                        "arena escape: yielding a slab reference lets it "
-                        "cross a replay boundary — yield a copy",
-                    )
-
-    for node in ast.walk(context.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from visit(node)
-    # Module-level bindings of arena buffers escape by construction.
-    for node in context.tree.body:
-        if isinstance(node, ast.Assign) and _rpl018_is_buffer_call(node.value):
-            yield _finding(
-                context,
-                "RPL018",
-                node,
-                "arena escape: module-level slab reference is stale after "
-                "every replay — copy the array out instead",
             )

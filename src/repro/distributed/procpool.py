@@ -975,13 +975,19 @@ class ProcessEmployeePool:
         self._closed = True
         atexit.unregister(self._atexit_shutdown)
         for index, handle in enumerate(self._workers):
-            if self.alive(index) and handle.in_flight is None:
-                try:
-                    handle.channel.send_command(
-                        OP_SHUTDOWN, handle.next_seq(), None
-                    )
-                except ChannelClosed:
-                    _LOG.warning("worker %d already unreachable at shutdown", index)
+            if not self.alive(index):
+                continue
+            if handle.in_flight is not None:
+                # Mid-command (an interrupted or abandoned phase): it
+                # cannot be sent OP_SHUTDOWN and would only sit out the
+                # join timeout below, one worker after another.
+                if handle.process is not None:
+                    handle.process.terminate()
+                continue
+            try:
+                handle.channel.send_command(OP_SHUTDOWN, handle.next_seq(), None)
+            except ChannelClosed:
+                _LOG.warning("worker %d already unreachable at shutdown", index)
         for handle in self._workers:
             if handle.process is None:
                 continue

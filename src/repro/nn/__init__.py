@@ -10,13 +10,6 @@ optimizers (:mod:`repro.nn.optim`), policy distributions
 
 from . import functional
 from . import init
-from .arena import (
-    Arena,
-    alloc_stats,
-    is_arena_backed,
-    note_alloc,
-    reset_alloc_stats,
-)
 from .distributions import Bernoulli, Categorical
 from .executor import (
     ExecutionPlan,
@@ -107,11 +100,6 @@ __all__ = [
     "save_module",
     "load_module",
     "load_state_dict_file",
-    "Arena",
-    "alloc_stats",
-    "is_arena_backed",
-    "note_alloc",
-    "reset_alloc_stats",
     "ExecutionPlan",
     "ForwardPlanner",
     "Planner",

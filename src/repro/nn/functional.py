@@ -150,9 +150,7 @@ def _plan_for(
     return plan
 
 
-def _conv_forward_contract(
-    w_flat: np.ndarray, cols: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _conv_forward_contract(w_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Forward contraction ``(O, R) x (N, R, P) -> (N, O, P)``.
 
     These three contraction kernels are the frozen floating-point
@@ -166,7 +164,7 @@ def _conv_forward_contract(
     backends, instruments and fast/slow paths is unaffected because
     every path shares these kernels).
     """
-    return np.matmul(w_flat, cols, out=out)
+    return np.matmul(w_flat, cols)
 
 
 def _conv_grad_weight(grad_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -174,11 +172,9 @@ def _conv_grad_weight(grad_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.tensordot(grad_flat, cols, axes=([0, 2], [0, 2]))
 
 
-def _conv_grad_cols(
-    w_flat: np.ndarray, grad_flat: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _conv_grad_cols(w_flat: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
     """Column-gradient contraction ``(R, O) x (N, O, P) -> (N, R, P)``."""
-    return np.matmul(w_flat.T, grad_flat, out=out)
+    return np.matmul(w_flat.T, grad_flat)
 
 
 def conv2d(

@@ -44,7 +44,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..nn import functional as nn_functional
-from ..nn.arena import alloc_stats as arena_alloc_stats
 from ..nn.tensor import Tensor
 from ..utils.tables import format_table
 
@@ -53,7 +52,6 @@ __all__ = [
     "OpProfiler",
     "get_profiler",
     "profile_env_enabled",
-    "render_arena_table",
 ]
 
 #: Tensor methods wrapped for timing (looked up on the class at call
@@ -342,15 +340,7 @@ class OpProfiler:
             self._stats.clear()
 
     def render_table(self, limit: int = 15) -> str:
-        """The hot-spot table (top ``limit`` ops by self time).
-
-        When execution plans ran in this process (plan replay forces the
-        tape while the profiler itself is installed, but the arena
-        counters survive from the fast-path portions of the run), the
-        per-op allocation table — bytes requested vs. bytes served from
-        arena slabs — is appended so the arena hit rate is visible next
-        to the op timings.
-        """
+        """The hot-spot table (top ``limit`` ops by self time)."""
         hotspots = self.hotspots()
         if not hotspots:
             return "profiler: no ops recorded"
@@ -367,16 +357,12 @@ class OpProfiler:
             ]
             for stats in hotspots[:limit]
         ]
-        table = format_table(
+        return format_table(
             ["op", "calls", "total s", "self s", "self %", "MFLOP", "MB"],
             rows,
             title=f"autograd hot spots (top {min(limit, len(hotspots))} of {len(hotspots)} ops)",
             precision=4,
         )
-        arena_table = render_arena_table(limit=limit)
-        if arena_table:
-            table = f"{table}\n\n{arena_table}"
-        return table
 
     def summary(self) -> str:
         """One-line CLI summary."""
@@ -397,46 +383,3 @@ _ACTIVE: Optional[OpProfiler] = None
 def get_profiler() -> Optional[OpProfiler]:
     """The currently enabled profiler, if any."""
     return _ACTIVE
-
-
-def render_arena_table(limit: int = 15) -> str:
-    """Per-op plan-replay allocation table (empty string when no data).
-
-    Rows come from :func:`repro.nn.arena.alloc_stats`: for every plan op,
-    how many output bytes the replays requested and how many were served
-    from preallocated arena slabs (``out=`` writes into stable buffers)
-    rather than freshly allocated.  Ordered by bytes requested so the
-    allocation-heaviest ops lead.
-    """
-    stats = arena_alloc_stats()
-    if not stats:
-        return ""
-    ordered = sorted(stats.items(), key=lambda item: (-item[1][0], item[0]))
-    rows = [
-        [
-            op,
-            requested / 1e6,
-            served / 1e6,
-            100.0 * served / requested if requested else 0.0,
-        ]
-        for op, (requested, served) in ordered[:limit]
-    ]
-    total_requested = sum(requested for requested, __ in stats.values())
-    total_served = sum(served for __, served in stats.values())
-    rows.append(
-        [
-            "TOTAL",
-            total_requested / 1e6,
-            total_served / 1e6,
-            100.0 * total_served / total_requested if total_requested else 0.0,
-        ]
-    )
-    return format_table(
-        ["plan op", "MB requested", "MB from arena", "arena %"],
-        rows,
-        title=(
-            f"execution-plan allocations "
-            f"(top {min(limit, len(stats))} of {len(stats)} ops)"
-        ),
-        precision=4,
-    )

@@ -41,9 +41,6 @@ FIXTURE_EXPECTATIONS = {
         "rpl012_raw_socket", "repro", "telemetry", "raw_push.py"
     ): ("RPL012", 3),
     "rpl017_naked_span.py": ("RPL017", 3),
-    os.path.join(
-        "rpl018_no_arena_escape", "repro", "nn", "bad_cache.py"
-    ): ("RPL018", 4),
 }
 
 
@@ -54,7 +51,6 @@ class TestRegistry:
             "RPL011",
             "RPL012",
             "RPL017",
-            "RPL018",
         ]
 
     def test_rule_table_rows(self):

@@ -9,6 +9,15 @@ from repro.env import CrowdsensingEnv, ScenarioConfig, smoke_config
 from repro.experiments.scales import Scale
 
 
+def process_alive(pid: int) -> bool:
+    """Whether ``pid`` is a running process (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -43,6 +43,7 @@ from repro.serve.protocol import (
     encode_result,
 )
 
+from ..conftest import process_alive as _alive
 from .conftest import assert_bitwise, capture_cases, serve_cli
 
 
@@ -606,14 +607,6 @@ class TestForkWorkerPool:
             assert handle.call(OP_RELOAD, 2) == 2  # repeat: no-op, no crash
         finally:
             pool.shutdown()
-
-
-def _alive(pid):
-    try:
-        with open(f"/proc/{pid}/stat") as handle:
-            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except OSError:
-        return False
 
 
 class TestCliSignals:

@@ -1,11 +1,24 @@
 """Tests for the top-level ``python -m repro`` CLI."""
 
+import glob
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.__main__ import main
+
+from .conftest import process_alive as _alive
+
+SRC_ROOT = Path(repro.__file__).resolve().parents[1]
 
 
 class TestTrainCommand:
@@ -225,3 +238,76 @@ class TestObservabilityCommands:
         )
         out = capsys.readouterr().out
         assert "episode" in out
+
+
+def _descendants(pid):
+    found = []
+    for task in glob.glob(f"/proc/{pid}/task/*/children"):
+        try:
+            children = [int(child) for child in Path(task).read_text().split()]
+        except OSError:
+            continue
+        for child in children:
+            found += [child] + _descendants(child)
+    return found
+
+
+class TestTrainSignals:
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"]
+    )
+    def test_signal_stops_training_and_leaves_nothing_behind(self, signum):
+        """SIGTERM (what a supervisor sends) takes SIGINT's way out of a
+        process-backend run: ``trainer.close()`` reaps the employees and
+        unlinks their slabs instead of the default action orphaning them."""
+        before_shm = set(glob.glob("/dev/shm/repro-shm-*"))
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = str(SRC_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "train", "--method", "cews",
+             "--scale", "smoke", "--episodes", "200", "--backend", "process",
+             "--dashboard"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+        )
+        family = []
+        try:
+            # The first dashboard frame: every employee is up and the
+            # signal lands in the middle of an episode.
+            for line in process.stdout:
+                if "episode 0" in line:
+                    break
+            family = _descendants(process.pid)
+            assert len(family) >= 2, "the CLI forked no employees"
+            assert set(glob.glob("/dev/shm/repro-shm-*")) - before_shm
+            process.send_signal(signum)
+            process.wait(timeout=5)
+            deadline = time.monotonic() + 5
+            while any(map(_alive, family)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in family if _alive(pid)] == []
+            assert set(glob.glob("/dev/shm/repro-shm-*")) == before_shm
+        finally:
+            # A failing run must not leak into the rest of the session.
+            for pid in [process.pid] + family:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            process.wait(timeout=30)
+            process.stdout.close()
+            for path in set(glob.glob("/dev/shm/repro-shm-*")) - before_shm:
+                os.unlink(path)
+
+
+class TestEnvironmentKnobLedger:
+    def test_readme_names_exactly_the_variables_src_reads(self):
+        """Every ``REPRO_*`` switch the code reads is documented, and the
+        README documents none the code stopped reading — so a new switch
+        cannot land without a line of documentation, and the count (11)
+        moves in review."""
+        pattern = re.compile(r"REPRO_[A-Z_]+")
+        in_src = set()
+        for path in SRC_ROOT.rglob("*.py"):
+            in_src.update(pattern.findall(path.read_text()))
+        in_readme = set(pattern.findall((SRC_ROOT.parent / "README.md").read_text()))
+        assert in_src - in_readme == set(), "read in src/, missing from README.md"
+        assert in_readme - in_src == set(), "named in README.md, no longer read"
+        assert len(in_src) == 11
