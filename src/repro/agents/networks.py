@@ -28,7 +28,7 @@ paper's "the server makes valid navigation decision for each worker".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +36,28 @@ from .. import nn
 from ..nn import functional as F
 from ..env.actions import NUM_MOVES
 
-__all__ = ["PolicyOutput", "CNNActorCritic", "select_actions"]
+__all__ = ["PolicyOutput", "CNNActorCritic", "row_inputs", "select_actions"]
 
 MASKED_LOGIT = -1e9
+
+
+def row_inputs(
+    states: np.ndarray, move_mask: np.ndarray, worker_features: np.ndarray
+) -> Dict[str, np.ndarray]:
+    """:meth:`CNNActorCritic.forward_rows`'s inputs from ``(B, …)`` arrays.
+
+    ``states`` is (B, C, G, G), ``move_mask`` (B, W, NUM_MOVES) booleans
+    and ``worker_features`` (B, W, 3).  The mask becomes an additive
+    ``MASKED_LOGIT`` penalty, a plain input an execution plan can read.
+    """
+    batch = states.shape[0]
+    return {
+        "states": states,
+        "mask_penalty": np.where(move_mask, 0.0, MASKED_LOGIT),
+        "worker_features_flat": np.ascontiguousarray(
+            worker_features.reshape(batch, -1)
+        ),
+    }
 
 
 @dataclass
@@ -59,6 +78,15 @@ class PolicyOutput:
     move_logits: nn.Tensor
     charge_logits: nn.Tensor
     value: nn.Tensor
+
+    @classmethod
+    def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "PolicyOutput":
+        """Wrap a planned :meth:`CNNActorCritic.forward_rows` result."""
+        return cls(
+            move_logits=nn.Tensor(arrays["move_logits"]),
+            charge_logits=nn.Tensor(arrays["charge_logits"]),
+            value=nn.Tensor(arrays["value"]),
+        )
 
     def move_distribution(self) -> nn.Categorical:
         """Per-worker categorical over the nine moves."""
@@ -193,8 +221,8 @@ class CNNActorCritic(nn.Module):
             feature_dim, 1, rng=rng, weight_init="orthogonal", gain=1.0
         )
 
-    def features(self, states: nn.Tensor) -> nn.Tensor:
-        """The trunk: (B, C, G, G) -> (B, feature_dim) feature ``φ(s_t)``."""
+    def _conv_trunk(self, states: nn.Tensor) -> nn.Tensor:
+        """(B, C, G, G) -> (B, flat) conv features, flattened per sample."""
         x = self.conv1(states)
         if self.use_layer_norm:
             x = self.norm1(x)
@@ -207,8 +235,45 @@ class CNNActorCritic(nn.Module):
         if self.use_layer_norm:
             x = self.norm3(x)
         x = x.relu()
-        x = x.reshape(x.shape[0], -1)
-        return self.fc(x).relu()
+        return x.reshape(x.shape[0], -1)
+
+    def features(self, states: nn.Tensor) -> nn.Tensor:
+        """The trunk: (B, C, G, G) -> (B, feature_dim) feature ``φ(s_t)``."""
+        return self.fc(self._conv_trunk(states)).relu()
+
+    def forward_rows(self, inputs: Dict[str, np.ndarray]) -> Dict[str, nn.Tensor]:
+        """The acting forward: every row's bits are those of a batch of one.
+
+        ``inputs`` is :func:`row_inputs`'s dict; the result maps
+        ``move_logits``/``charge_logits``/``value`` to tensors.  This is
+        the program the rollout (``act_full``, ``B = 1``) and the
+        inference service (a coalesced batch) both plan with
+        :class:`repro.nn.ForwardPlanner`, so a served row equals the
+        offline action bit for bit.  The conv trunk runs stacked — its
+        im2col matmuls have ``B × positions`` rows and keep each sample
+        in its own row block — and every Linear runs through
+        :func:`repro.nn.functional.linear_rows`.
+
+        :meth:`forward` stays the PPO update's program: its plain
+        ``(B, in)`` GEMMs are the training contract's bits.
+        """
+        batch = inputs["states"].shape[0]
+        x = self._conv_trunk(nn.Tensor(inputs["states"]))
+        phi = F.linear_rows(x, self.fc.weight, self.fc.bias).relu()
+        flat = nn.Tensor(inputs["worker_features_flat"])
+        head = F.linear_rows(
+            nn.concat([phi, flat], axis=1), self.head_trunk.weight, self.head_trunk.bias
+        ).relu()
+        move_logits = F.linear_rows(
+            head, self.move_head.weight, self.move_head.bias
+        ).reshape(batch, self.num_workers, NUM_MOVES) + nn.Tensor(inputs["mask_penalty"])
+        charge_logits = F.linear_rows(head, self.charge_head.weight, self.charge_head.bias)
+        value = F.linear_rows(head, self.value_head.weight, self.value_head.bias)
+        return {
+            "move_logits": move_logits,
+            "charge_logits": charge_logits,
+            "value": value.reshape(batch),
+        }
 
     def forward(
         self,

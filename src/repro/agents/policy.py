@@ -8,6 +8,15 @@ optional curiosity module supplying intrinsic rewards, rollout collection
 :mod:`repro.distributed` drives many of these agents in parallel; the
 agent also supports standalone single-process training for tests and small
 experiments.
+
+The rollout is batch-native where that keeps every bit: ``act_full``
+replays a forward-only execution plan of
+:meth:`~repro.agents.networks.CNNActorCritic.forward_rows` — the same
+row-invariant program the inference service runs over a batch — and
+``collect_episode`` scores curiosity once per episode over the whole
+trajectory instead of once per step.  The PPO update keeps
+:meth:`~repro.agents.networks.CNNActorCritic.forward` and its plain
+minibatch GEMMs.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from ..env.env import CrowdsensingEnv
 from ..env.state import STATE_CHANNELS
 from ..obs.trace import span as trace_span
 from .base import EpisodeResult
-from .networks import CNNActorCritic, select_actions
+from .networks import CNNActorCritic, PolicyOutput, row_inputs, select_actions
 from .ppo import PPOConfig, PPOStats, make_ppo_planner, ppo_loss, ppo_step
 from .rollout import RolloutBuffer, Transition
 
@@ -86,19 +95,23 @@ class PPOWorkerAgent:
             layer_norm=layer_norm,
         )
         self._needs_states = not isinstance(self.curiosity, NullCuriosity)
-        # Lazily-built execution planner for the PPO update program.  It
-        # holds compiled closures over the live network parameters, so it
-        # is rebuilt (not pickled) on the far side of a process boundary.
+        # Lazily-built execution planners for the PPO update program and
+        # the acting forward.  They hold compiled closures over the live
+        # network parameters, so they are rebuilt (not pickled or copied)
+        # on the far side of a process boundary or a deepcopy.
         self._planner: Optional[nn.Planner] = None
+        self._act_planner: Optional[nn.ForwardPlanner] = None
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_planner"] = None
+        state["_act_planner"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._planner = None
+        self._act_planner = None
 
     # ------------------------------------------------------------------
     # Acting
@@ -133,23 +146,27 @@ class PPOWorkerAgent:
 
         ``state`` lets rollout loops pass the state matrix they already hold
         (from ``reset()``/``step()``) instead of re-encoding it — the encoder
-        is deterministic, so the result is unchanged.  The forward pass runs
-        under :class:`repro.nn.no_grad`: acting never backpropagates (PPO
-        recomputes the forward on minibatches during the update), so taping
-        every rollout op is pure overhead.
+        is deterministic, so the result is unchanged.  The forward is
+        :meth:`~repro.agents.networks.CNNActorCritic.forward_rows` at
+        ``B = 1`` — the program the inference service runs over a batch —
+        replayed under :class:`repro.nn.no_grad` from a forward-only
+        execution plan (acting never backpropagates; PPO recomputes the
+        forward on minibatches during the update).
         """
         if state is None:
             state = env._state()
         move_mask = env.valid_moves()
         worker_features = self.worker_features_of(env)
+        if self._act_planner is None:
+            self._act_planner = nn.ForwardPlanner(self.network.forward_rows, name="act")
         with nn.no_grad():
-            output = self.network.forward(
-                state, move_mask=move_mask[None], worker_features=worker_features[None]
+            outputs = self._act_planner.step(
+                row_inputs(state[None], move_mask[None], worker_features[None])
             )
             moves, charges, log_prob = select_actions(
-                output, [None if greedy else rng]
+                PolicyOutput.from_arrays(outputs), [None if greedy else rng]
             )
-            value = float(output.value.item())
+        value = float(outputs["value"][0])
         return (
             Action(charge=charges[0], move=moves[0]),
             float(log_prob[0]),
@@ -170,49 +187,43 @@ class PPOWorkerAgent:
     ) -> Tuple[RolloutBuffer, EpisodeResult]:
         """Roll one episode with the stochastic policy, filling ``buffer``.
 
-        Each stored reward is ``r_t = r_t^ext + r_t^int`` (Eqn. 10); the
-        intrinsic part is computed on the fly from the curiosity module.
+        Each stored reward is ``r_t = r_t^ext + r_t^int`` (Eqn. 10).  The
+        per-step loop only acts and steps the environment; the intrinsic
+        part of every step comes from **one** curiosity call over the
+        whole ``(T, …)`` trajectory after the last step.  That is
+        Algorithm 1 unchanged: the policy never reads ``r_t^int`` while
+        acting, and the forward model's parameters only move in the
+        update phase.  The call is bitwise-equal to T single-step calls
+        because ``intrinsic_reward`` is row-invariant (see
+        :class:`~repro.curiosity.base.CuriosityModule`), and the rewards
+        and running totals are then formed in step order, so every stored
+        float is the one a per-step loop would store.
         """
         if buffer is None:
             buffer = RolloutBuffer(gamma=self.ppo.gamma, gae_lambda=self.ppo.gae_lambda)
         with trace_span("env.reset"):
             state = env.reset()
         trajectory = [env.workers.positions.copy()] if record_trajectory else None
-        extrinsic_total = 0.0
-        intrinsic_total = 0.0
+        steps: List[dict] = []
         done = False
-        steps = 0
         while not done:
             positions_before = env.workers.positions.copy()
-            with trace_span("policy.act", step=steps):
+            with trace_span("policy.act", step=len(steps)):
                 action, log_prob, value, move_mask, worker_features = self.act_full(
                     env, rng, greedy=False, state=state
                 )
-            with trace_span("env.step", step=steps):
+            with trace_span("env.step", step=len(steps)):
                 next_state, extrinsic, done, info = env.step(action)
-
-            transition_batch = TransitionBatch.single(
-                positions=positions_before,
-                moves=action.move,
-                next_positions=info["positions"],
-                state=state if self._needs_states else None,
-                next_state=next_state if self._needs_states else None,
-            )
-            with trace_span("curiosity.intrinsic", step=steps):
-                intrinsic = float(self.curiosity.intrinsic_reward(transition_batch)[0])
-            reward = extrinsic + intrinsic
-            extrinsic_total += extrinsic
-            intrinsic_total += intrinsic
-
-            buffer.add(
-                Transition(
+            # Transition fields; ``reward`` holds r^ext until r^int is known.
+            steps.append(
+                dict(
                     state=state,
                     move_mask=move_mask,
                     moves=action.move,
                     charges=action.charge,
                     log_prob=log_prob,
                     value=value,
-                    reward=reward,
+                    reward=extrinsic,
                     done=done,
                     positions=positions_before,
                     next_positions=info["positions"].copy(),
@@ -221,16 +232,36 @@ class PPOWorkerAgent:
                 )
             )
             state = next_state
-            steps += 1
             if trajectory is not None:
                 trajectory.append(info["positions"].copy())
+
+        def column(name: str) -> np.ndarray:
+            return np.stack([step[name] for step in steps])
+
+        with trace_span("curiosity.intrinsic", steps=len(steps)):
+            intrinsic = self.curiosity.intrinsic_reward(
+                TransitionBatch(
+                    positions=column("positions"),
+                    next_positions=column("next_positions"),
+                    moves=column("moves"),
+                    states=column("state") if self._needs_states else None,
+                    next_states=column("next_state") if self._needs_states else None,
+                )
+            )
+        extrinsic_total = 0.0
+        intrinsic_total = 0.0
+        for step, bonus in zip(steps, intrinsic.tolist()):
+            extrinsic_total += step["reward"]
+            intrinsic_total += bonus
+            step["reward"] = step["reward"] + bonus
+            buffer.add(Transition(**step))
 
         buffer.finalize(bootstrap_value=0.0)
         result = EpisodeResult(
             metrics=env.metrics(),
             extrinsic_reward=extrinsic_total,
             intrinsic_reward=intrinsic_total,
-            steps=steps,
+            steps=len(steps),
             trajectory=trajectory,
         )
         return buffer, result

@@ -3,9 +3,14 @@
 Every curiosity model in this package — the paper's spatial curiosity, the
 full ICM of Pathak et al., and RND — implements :class:`CuriosityModule`:
 
-* :meth:`intrinsic_reward` scores one transition at rollout time and
-  returns the scalar ``r_t^int = η · Loss^f`` (Eqn. 17) without touching
-  any learnable parameters;
+* :meth:`intrinsic_reward` scores a batch of transitions — the rollout
+  passes a whole episode's trajectory at once — and returns one
+  ``r_t^int = η · Loss^f`` (Eqn. 17) per row without touching any
+  learnable parameters.  It is **row-invariant**: row ``t`` of a
+  ``T``-row batch is bitwise-equal to transition ``t`` scored alone, so
+  scoring an episode in one call stores the bits a per-step loop would.
+  The modules keep it so by running their detached Linears through
+  :func:`repro.nn.functional.linear_rows`;
 * :meth:`loss` builds the differentiable training loss over a batch of
   transitions so employees can compute gradients for the chief's curiosity
   gradient buffer;
@@ -100,7 +105,7 @@ class CuriosityModule:
     eta: float
 
     def intrinsic_reward(self, batch: TransitionBatch) -> np.ndarray:
-        """(B,) intrinsic rewards, detached (no gradient bookkeeping)."""
+        """(B,) intrinsic rewards, detached and row-invariant."""
         raise NotImplementedError
 
     def per_worker_curiosity(self, batch: TransitionBatch) -> np.ndarray:

@@ -46,12 +46,22 @@ class StateEncoder(nn.Module):
         self.fc = nn.Linear(16 * h2 * w2, feature_dim, rng=rng)
         self.feature_dim = feature_dim
 
-    def forward(self, states: nn.Tensor) -> nn.Tensor:
-        """Encode (B, C, G, G) states into (B, feature_dim) vectors."""
+    def _conv_trunk(self, states: nn.Tensor) -> nn.Tensor:
         x = self.conv1(states).relu()
         x = self.conv2(x).relu()
-        x = x.reshape(x.shape[0], -1)
-        return self.fc(x)
+        return x.reshape(x.shape[0], -1)
+
+    def forward(self, states: nn.Tensor) -> nn.Tensor:
+        """Encode (B, C, G, G) states into (B, feature_dim) vectors."""
+        return self.fc(self._conv_trunk(states))
+
+    def forward_rows(self, states: nn.Tensor) -> nn.Tensor:
+        """:meth:`forward` with each row's bits those of a batch of one.
+
+        The convs already keep every sample in its own im2col row block;
+        only the Linear needs :func:`repro.nn.functional.linear_rows`.
+        """
+        return F.linear_rows(self._conv_trunk(states), self.fc.weight, self.fc.bias)
 
 
 class ICMCuriosity(CuriosityModule):
@@ -128,7 +138,17 @@ class ICMCuriosity(CuriosityModule):
     # CuriosityModule interface
     # ------------------------------------------------------------------
     def intrinsic_reward(self, batch: TransitionBatch) -> np.ndarray:
-        return self.eta * self._forward_errors(batch).data.copy()
+        """:meth:`_forward_errors` scaled by ``η``, untaped and row-invariant."""
+        states, next_states = self._require_states(batch)
+        hidden, __, out = self.forward_net
+        with nn.no_grad():
+            phi_t = self.encoder.forward_rows(nn.Tensor(states))
+            phi_t1 = self.encoder.forward_rows(nn.Tensor(next_states))
+            actions = nn.Tensor(self._one_hot_moves(batch.moves))
+            x = nn.concat([phi_t, actions], axis=1)
+            x = F.linear_rows(x, hidden.weight, hidden.bias).relu()
+            diff = F.linear_rows(x, out.weight, out.bias) - phi_t1
+            return self.eta * (diff * diff).sum(axis=1).data
 
     def loss(self, batch: TransitionBatch) -> nn.Tensor:
         states, next_states = self._require_states(batch)

@@ -47,17 +47,25 @@ class RNDCuriosity(CuriosityModule):
             channels, grid, feature_dim=feature_dim, rng=predictor_rng
         )
 
-    def _errors(self, batch: TransitionBatch) -> nn.Tensor:
+    @staticmethod
+    def _next_states(batch: TransitionBatch) -> nn.Tensor:
         if batch.next_states is None:
             raise ValueError("RNDCuriosity needs next_states in the TransitionBatch")
-        states = nn.Tensor(np.asarray(batch.next_states))
+        return nn.Tensor(np.asarray(batch.next_states))
+
+    def _errors(self, batch: TransitionBatch) -> nn.Tensor:
+        states = self._next_states(batch)
         target = self.target(states).detach()
         predicted = self.predictor(states)
         diff = predicted - target
         return (diff * diff).sum(axis=1)
 
     def intrinsic_reward(self, batch: TransitionBatch) -> np.ndarray:
-        return self.eta * self._errors(batch).data.copy()
+        """:meth:`_errors` scaled by ``η``, untaped and row-invariant."""
+        states = self._next_states(batch)
+        with nn.no_grad():
+            diff = self.predictor.forward_rows(states) - self.target.forward_rows(states)
+            return self.eta * (diff * diff).sum(axis=1).data
 
     def loss(self, batch: TransitionBatch) -> nn.Tensor:
         return self._errors(batch).mean()

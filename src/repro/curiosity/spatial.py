@@ -29,6 +29,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .. import nn
+from ..nn import functional as F
 from ..obs.trace import span as trace_span
 from ..env.actions import NUM_MOVES
 from ..env.space import CrowdsensingSpace
@@ -56,15 +57,25 @@ class ForwardModel(nn.Module):
         self.fc2 = nn.Linear(hidden, hidden, rng=rng)
         self.out = nn.Linear(hidden, feature_dim, rng=rng)
 
-    def forward(self, features: nn.Tensor, moves: np.ndarray) -> nn.Tensor:
-        """Predict the next position's feature from (feature, move)."""
+    def _input(self, features: nn.Tensor, moves: np.ndarray) -> nn.Tensor:
         moves = np.asarray(moves, dtype=np.int64).reshape(-1)
         one_hot = np.zeros((len(moves), self.num_moves))
         one_hot[np.arange(len(moves)), moves] = 1.0
-        x = nn.concat([features, nn.Tensor(one_hot)], axis=1)
+        return nn.concat([features, nn.Tensor(one_hot)], axis=1)
+
+    def forward(self, features: nn.Tensor, moves: np.ndarray) -> nn.Tensor:
+        """Predict the next position's feature from (feature, move)."""
+        x = self._input(features, moves)
         x = self.fc1(x).relu()
         x = self.fc2(x).relu()
         return self.out(x)
+
+    def forward_rows(self, features: nn.Tensor, moves: np.ndarray) -> nn.Tensor:
+        """:meth:`forward` with each row's bits those of a batch of one."""
+        x = self._input(features, moves)
+        for layer in (self.fc1, self.fc2):
+            x = F.linear_rows(x, layer.weight, layer.bias).relu()
+        return F.linear_rows(x, self.out.weight, self.out.bias)
 
 
 class SpatialCuriosity(CuriosityModule):
@@ -144,8 +155,9 @@ class SpatialCuriosity(CuriosityModule):
                 f"structure was built for {len(self._models)}"
             )
         errors = []
-        # Detached callers (intrinsic rewards during rollouts) never
-        # backpropagate, so skip taping the forward pass entirely.
+        # Detached callers (intrinsic rewards) never backpropagate, so
+        # skip taping the forward pass entirely, and run it row-invariant:
+        # a trajectory scored at once equals its steps scored one by one.
         grad_ctx = contextlib.nullcontext() if not detach else nn.no_grad()
         with trace_span(
             "curiosity.forward_model",
@@ -156,7 +168,8 @@ class SpatialCuriosity(CuriosityModule):
                 model = self._model_for(w)
                 current = self._feature(batch.positions[:, w])
                 target = self._feature(batch.next_positions[:, w])
-                predicted = model(nn.Tensor(current), batch.moves[:, w])
+                forward = model.forward_rows if detach else model.forward
+                predicted = forward(nn.Tensor(current), batch.moves[:, w])
                 diff = predicted - nn.Tensor(target)
                 per_sample = (diff * diff).sum(axis=1)
                 errors.append(per_sample.data.copy() if detach else per_sample)

@@ -18,6 +18,7 @@ __all__ = [
     "max_pool2d",
     "avg_pool2d",
     "linear",
+    "linear_rows",
     "softplus",
     "layer_norm",
     "channel_layer_norm",
@@ -298,6 +299,21 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if bias is not None:
         out = out + bias
     return out
+
+
+def linear_rows(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """:func:`linear` over ``(B, in)`` rows with bitwise row parity.
+
+    OpenBLAS dgemm output depends on the row count M for small M, so a
+    plain ``(B, in)`` matmul differs from its ``(1, in)`` rows in the
+    last bits.  Stacked as ``(B, 1, in)`` the product is one matmul call
+    that numpy runs as B independent ``M = 1`` products — the very
+    kernel, on the very operands, a batch of one gets — so row ``i`` of
+    the result does not depend on how many rows were stacked around it.
+    """
+    batch = x.shape[0]
+    out = linear(x.reshape(batch, 1, x.shape[1]), weight, bias)
+    return out.reshape(batch, weight.shape[0])
 
 
 def layer_norm(

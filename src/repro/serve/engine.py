@@ -3,37 +3,25 @@
 The engine owns the one numerical contract the whole service is built on:
 **a coalesced batch must answer every row bitwise-identically to the
 offline single-state** :meth:`~repro.agents.policy.PPOWorkerAgent.act_full`.
-Naively stacking states breaks that contract — OpenBLAS picks different
-dgemm kernels (different summation orders) for different row counts, so
-a ``(B, in)`` Linear matmul does *not* reproduce the ``(1, in)`` rows it
-contains.  The convolution im2col matmuls are safe: their row count is
-``B × positions`` (hundreds even at B=1), far past the kernel-switch
-regime, and each sample occupies a contiguous row block.
 
-The served forward is nevertheless batch-native end to end — nothing in
-it loops over rows in Python:
-
-* the conv trunk runs stacked (the batch dimension is nearly free);
-* each small Linear head runs as **one stacked matmul**,
-  ``(B, 1, in) @ (in, out)``, which numpy executes as ``B`` independent
-  ``M = 1`` products and which therefore carries, per row, exactly the
-  bits of a batch of one (:func:`_rowwise`;
-  ``tests/serve/test_parity.py`` pins the numpy property itself);
-* the action of every row is chosen in one pass by
-  :func:`repro.agents.networks.select_actions` — the function
-  ``act_full`` itself calls with ``B = 1`` — over one ``(B, …)``
-  :class:`~repro.agents.networks.PolicyOutput`: one ``mode()``, one
-  ``log_prob()`` (element-wise ops and last-axis reductions, so rows
-  do not see each other), and only sampled rows draw, each as a batch
-  of one from a fresh ``np.random.default_rng(seed)`` so clients can
-  reproduce any served action offline.
+The engine holds no network math of its own.  It runs the one acting
+forward there is, :meth:`~repro.agents.networks.CNNActorCritic.forward_rows`
+— the program ``act_full`` plans at ``B = 1`` — over a coalesced batch:
+the conv trunk stacked, every Linear as one stacked ``(B, 1, in)``
+matmul (:func:`repro.nn.functional.linear_rows`; naively stacking rows
+through a ``(B, in)`` GEMM would not reproduce the ``(1, in)`` bits),
+and the action of every row chosen in one pass by
+:func:`repro.agents.networks.select_actions`, where only sampled rows
+draw, each as a batch of one from a fresh ``np.random.default_rng(seed)``
+so clients can reproduce any served action offline.  Nothing loops over
+rows in Python.
 
 The forward runs under :class:`repro.nn.no_grad` through a
-:class:`repro.nn.ForwardPlanner` (PR 9 executor, forward-only plans) —
-one plan per batch-size signature, byte-validated against the tape on
-first capture.  Hot reload is ``load_state_dict`` (in-place
-``param.data[...] =``), which compiled plans observe automatically
-because replay reads parameter ``.data`` per call.
+:class:`repro.nn.ForwardPlanner` — one plan per batch-size signature,
+byte-validated against the tape on first capture.  Hot reload is
+``load_state_dict`` (in-place ``param.data[...] =``), which compiled
+plans observe automatically because replay reads parameter ``.data``
+per call.
 """
 
 from __future__ import annotations
@@ -48,8 +36,8 @@ import numpy as np
 from .. import nn
 from ..agents.networks import (
     CNNActorCritic,
-    MASKED_LOGIT,
     PolicyOutput,
+    row_inputs,
     select_actions,
 )
 from ..distributed.checkpoint import (
@@ -57,7 +45,6 @@ from ..distributed.checkpoint import (
     _payload_checksum,
     _resolve_load_path,
 )
-from ..env.actions import NUM_MOVES
 from .protocol import InferError, InferRequest, InferResult, RequestError
 
 __all__ = [
@@ -163,20 +150,6 @@ def network_from_state(state: Dict[str, np.ndarray], grid: int) -> CNNActorCriti
     return network
 
 
-def _rowwise(layer: nn.Linear, x: nn.Tensor) -> nn.Tensor:
-    """Apply a Linear layer to ``(B, in)`` rows with bitwise row parity.
-
-    OpenBLAS dgemm output depends on the row count M for small M, so a
-    plain ``(B, in)`` matmul differs from its ``(1, in)`` rows in the
-    last bits.  Stacked as ``(B, 1, in)`` the product is one matmul call
-    that numpy runs as B independent ``M = 1`` products — the very
-    kernel, on the very operands, a batch of one gets.
-    """
-    batch = x.shape[0]
-    stacked = layer(x.reshape(batch, 1, layer.in_features))
-    return stacked.reshape(batch, layer.out_features)
-
-
 class PolicyEngine:
     """Batched, bitwise-exact inference over one policy network.
 
@@ -222,42 +195,8 @@ class PolicyEngine:
     def _attach_planner(self) -> None:
         if self._use_plans:
             self._planner = nn.ForwardPlanner(
-                self._program, name="serve", max_plans=self._max_plans
+                self.network.forward_rows, name="serve", max_plans=self._max_plans
             )
-
-    # ------------------------------------------------------------------
-    # The served forward
-    # ------------------------------------------------------------------
-    def _program(self, inputs: Dict[str, np.ndarray]) -> Dict[str, nn.Tensor]:
-        net = self.network
-        x = nn.Tensor(inputs["states"])
-        x = net.conv1(x)
-        if net.use_layer_norm:
-            x = net.norm1(x)
-        x = x.relu()
-        x = net.conv2(x)
-        if net.use_layer_norm:
-            x = net.norm2(x)
-        x = x.relu()
-        x = net.conv3(x)
-        if net.use_layer_norm:
-            x = net.norm3(x)
-        x = x.relu()
-        batch = x.shape[0]
-        x = x.reshape(batch, -1)
-        phi = _rowwise(net.fc, x).relu()
-        flat = nn.Tensor(inputs["worker_features_flat"])
-        head = _rowwise(net.head_trunk, nn.concat([phi, flat], axis=1)).relu()
-        move_logits = _rowwise(net.move_head, head).reshape(
-            batch, net.num_workers, NUM_MOVES
-        ) + nn.Tensor(inputs["mask_penalty"])
-        charge_logits = _rowwise(net.charge_head, head)
-        value = _rowwise(net.value_head, head).reshape(batch)
-        return {
-            "move_logits": move_logits,
-            "charge_logits": charge_logits,
-            "value": value,
-        }
 
     def _forward(self, inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
         with nn.no_grad():
@@ -265,7 +204,7 @@ class PolicyEngine:
                 return self._planner.step(inputs)
             return {
                 name: tensor.data
-                for name, tensor in self._program(inputs).items()
+                for name, tensor in self.network.forward_rows(inputs).items()
             }
 
     # ------------------------------------------------------------------
@@ -328,32 +267,18 @@ class PolicyEngine:
 
     def _infer_rows(self, requests: Sequence[InferRequest]) -> List[InferResult]:
         """The stacked forward over geometry-validated rows."""
-        states = np.stack([r.state for r in requests])
-        penalty = np.stack(
-            [np.where(r.move_mask, 0.0, MASKED_LOGIT) for r in requests]
-        )
-        features = np.ascontiguousarray(
-            np.stack([r.worker_features for r in requests]).reshape(
-                len(requests), -1
-            )
-        )
         outputs = self._forward(
-            {
-                "states": states,
-                "mask_penalty": penalty,
-                "worker_features_flat": features,
-            }
+            row_inputs(
+                np.stack([r.state for r in requests]),
+                np.stack([r.move_mask for r in requests]),
+                np.stack([r.worker_features for r in requests]),
+            )
         )
         with nn.no_grad():
-            output = PolicyOutput(
-                move_logits=nn.Tensor(outputs["move_logits"]),
-                charge_logits=nn.Tensor(outputs["charge_logits"]),
-                value=nn.Tensor(outputs["value"]),
-            )
             # A fresh default_rng(seed) per sampled request, so a client
             # can reproduce any served action offline.
             moves, charges, log_probs = select_actions(
-                output,
+                PolicyOutput.from_arrays(outputs),
                 [
                     None if r.greedy else np.random.default_rng(r.seed)
                     for r in requests

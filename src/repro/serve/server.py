@@ -84,6 +84,10 @@ __all__ = ["InferenceServer", "ServeClient"]
 
 _BATCH_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 
+#: How long a closing connection may take to flush what it is owed before
+#: its transport is aborted (bounds ``stop()`` against a non-reading peer).
+_CLOSE_TIMEOUT_S = 1.0
+
 
 class InferenceServer:
     """Serve one checkpoint's policy over framed TCP + JSON/HTTP.
@@ -380,7 +384,11 @@ class InferenceServer:
             outbox.flush()  # close() sends what is buffered before closing
             writer.close()
             try:
-                await writer.wait_closed()
+                # A peer that never reads never lets that buffer flush:
+                # past the bound, drop what it is owed and the connection.
+                await asyncio.wait_for(writer.wait_closed(), _CLOSE_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                writer.transport.abort()
             except (ConnectionResetError, OSError):
                 pass
             self._conn_tasks.discard(task)

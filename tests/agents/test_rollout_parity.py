@@ -1,0 +1,248 @@
+"""The batch-native rollout stores the bits the per-step rollout stored.
+
+``collect_episode`` acts through a forward-only execution plan of
+``CNNActorCritic.forward_rows`` and scores curiosity once per episode.
+The reference below is the per-step loop it replaced, kept verbatim: a
+taped ``network.forward`` under ``no_grad`` per step, and one
+``intrinsic_reward(TransitionBatch.single(...))`` per step.  Every
+stored ``Transition`` field and the ``EpisodeResult`` must be
+byte-equal to it, for each curiosity module the trainer can run.
+"""
+
+import dataclasses
+import struct
+import sys
+
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.agents.base import EpisodeResult
+from repro.agents.networks import select_actions
+from repro.agents.rollout import RolloutBuffer, Transition
+from repro.curiosity import TransitionBatch
+from repro.distributed import build_trainer
+from repro.distributed.factories import build_agent
+from repro.distributed.trainer import TrainConfig
+from repro.env import CrowdsensingEnv
+from repro.env.actions import Action
+from repro.env.generator import generate_scenario
+from repro.experiments.scales import get_scale
+from repro.experiments.training import make_ppo_config
+from repro.obs.trace import Tracer
+
+SCALE = get_scale("smoke")
+
+#: (method, build_agent curiosity override kwargs)
+VARIANTS = {
+    "cews": ("cews", {}),
+    "dppo": ("dppo", {}),
+    "spatial-direct-independent": (
+        "cews",
+        {"curiosity": "spatial", "feature": "direct", "structure": "independent"},
+    ),
+    "icm": ("cews", {"curiosity": "icm"}),
+    "rnd": ("cews", {"curiosity": "rnd"}),
+}
+
+
+def reference_act_full(agent, env, rng, greedy=False, state=None):
+    """``act_full`` as the per-step rollout ran it: a taped forward."""
+    if state is None:
+        state = env._state()
+    move_mask = env.valid_moves()
+    worker_features = agent.worker_features_of(env)
+    with nn.no_grad():
+        output = agent.network.forward(
+            state, move_mask=move_mask[None], worker_features=worker_features[None]
+        )
+        moves, charges, log_prob = select_actions(
+            output, [None if greedy else rng]
+        )
+        value = float(output.value.item())
+    return (
+        Action(charge=charges[0], move=moves[0]),
+        float(log_prob[0]),
+        value,
+        move_mask,
+        worker_features,
+    )
+
+
+def reference_collect_episode(agent, env, rng):
+    """``collect_episode`` as it was: curiosity scored step by step."""
+    buffer = RolloutBuffer(gamma=agent.ppo.gamma, gae_lambda=agent.ppo.gae_lambda)
+    state = env.reset()
+    extrinsic_total = 0.0
+    intrinsic_total = 0.0
+    done = False
+    steps = 0
+    while not done:
+        positions_before = env.workers.positions.copy()
+        action, log_prob, value, move_mask, worker_features = reference_act_full(
+            agent, env, rng, greedy=False, state=state
+        )
+        next_state, extrinsic, done, info = env.step(action)
+
+        transition_batch = TransitionBatch.single(
+            positions=positions_before,
+            moves=action.move,
+            next_positions=info["positions"],
+            state=state if agent._needs_states else None,
+            next_state=next_state if agent._needs_states else None,
+        )
+        intrinsic = float(agent.curiosity.intrinsic_reward(transition_batch)[0])
+        reward = extrinsic + intrinsic
+        extrinsic_total += extrinsic
+        intrinsic_total += intrinsic
+
+        buffer.add(
+            Transition(
+                state=state,
+                move_mask=move_mask,
+                moves=action.move,
+                charges=action.charge,
+                log_prob=log_prob,
+                value=value,
+                reward=reward,
+                done=done,
+                positions=positions_before,
+                next_positions=info["positions"].copy(),
+                next_state=next_state,
+                worker_features=worker_features,
+            )
+        )
+        state = next_state
+        steps += 1
+
+    buffer.finalize(bootstrap_value=0.0)
+    result = EpisodeResult(
+        metrics=env.metrics(),
+        extrinsic_reward=extrinsic_total,
+        intrinsic_reward=intrinsic_total,
+        steps=steps,
+        trajectory=None,
+    )
+    return buffer, result
+
+
+def as_bytes(value):
+    """A value's exact bits (type, shape and dtype included)."""
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (float, np.floating)):
+        return (type(value).__name__, struct.pack("<d", float(value)))
+    if dataclasses.is_dataclass(value):
+        return tuple(
+            (field.name, as_bytes(getattr(value, field.name)))
+            for field in dataclasses.fields(value)
+        )
+    return (type(value).__name__, value)
+
+
+def assert_same_episode(got, want):
+    (buffer, result), (ref_buffer, ref_result) = got, want
+    assert len(buffer) == len(ref_buffer)
+    for t, (mine, theirs) in enumerate(zip(buffer._transitions, ref_buffer._transitions)):
+        assert as_bytes(mine) == as_bytes(theirs), f"transition {t} differs"
+    assert buffer._returns.tobytes() == ref_buffer._returns.tobytes()
+    assert buffer._advantages.tobytes() == ref_buffer._advantages.tobytes()
+    assert as_bytes(result) == as_bytes(ref_result)
+
+
+def twins(name):
+    """Two identically built (agent, env, rng) triples."""
+    method, overrides = VARIANTS[name]
+    config = SCALE.scenario(seed=3)
+    scenario = generate_scenario(config)
+    out = []
+    for __ in range(2):
+        agent = build_agent(
+            method, config, scenario=scenario, ppo=make_ppo_config(SCALE), seed=7,
+            **overrides,
+        )
+        env = CrowdsensingEnv(config, reward_mode=agent.reward_mode, scenario=scenario)
+        out.append((agent, env, np.random.default_rng(11)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_rollout_is_byte_equal_to_the_per_step_reference(name):
+    (agent, env, rng), (ref_agent, ref_env, ref_rng) = twins(name)
+    for episode in range(2):
+        got = agent.collect_episode(env, rng)
+        assert_same_episode(got, reference_collect_episode(ref_agent, ref_env, ref_rng))
+        if episode == 0:
+            # The build step counts as a plan run: every step was planned.
+            assert agent._act_planner.stats == {
+                "plan_runs": got[1].steps,
+                "tape_runs": 0,
+                "built": 1,
+                "unsupported": 0,
+                "validation_failed": 0,
+            }
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_tape_path_under_a_tracer_gives_the_same_bits():
+    (agent, env, rng), (ref_agent, ref_env, ref_rng) = twins("cews")
+    with Tracer():
+        got = agent.collect_episode(env, rng)
+    assert_same_episode(got, reference_collect_episode(ref_agent, ref_env, ref_rng))
+    stats = agent._act_planner.stats
+    assert stats["tape_runs"] == got[1].steps
+    assert stats["plan_runs"] == stats["built"] == 0
+
+
+def test_act_planner_is_rebuilt_not_copied():
+    import copy
+    import pickle
+
+    (agent, env, rng), __ = twins("cews")
+    agent.collect_episode(env, rng)
+    assert agent._act_planner is not None
+    for clone in (copy.deepcopy(agent), pickle.loads(pickle.dumps(agent))):
+        assert clone._act_planner is None
+        clone.act_full(env, np.random.default_rng(0))
+        assert clone._act_planner.program.__self__ is clone.network
+
+
+def _train(backend, switch_interval=None):
+    config = SCALE.scenario(seed=0)
+    trainer = build_trainer(
+        "cews",
+        config,
+        train=TrainConfig(
+            num_employees=4, episodes=2, k_updates=SCALE.k_updates,
+            backend=backend, seed=0,
+        ),
+        ppo=make_ppo_config(SCALE),
+        seed=0,
+    )
+    previous = sys.getswitchinterval()
+    try:
+        if switch_interval is not None:
+            sys.setswitchinterval(switch_interval)
+        history = trainer.train()
+    finally:
+        sys.setswitchinterval(previous)
+        trainer.close()
+    logs = [dataclasses.replace(log, wall_time=0.0) for log in history.logs]
+    state = {k: v.tobytes() for k, v in trainer.global_agent.state_dict().items()}
+    return trainer, [as_bytes(log) for log in logs], state
+
+
+def test_concurrent_plan_captures_keep_the_thread_backend_bitwise():
+    """Four employee threads build their act plans at once, with the GIL
+    switching as often as it can: captures patch ``Tensor._make``
+    process-wide, so a neighbour's step may fall back to the tape, but
+    no plan may fail validation and no bit may move."""
+    threaded, thread_logs, thread_state = _train("thread", switch_interval=1e-6)
+    __, serial_logs, serial_state = _train("serial")
+    assert thread_logs == serial_logs
+    assert thread_state == serial_state
+    for employee in threaded.employees:
+        stats = employee.agent._act_planner.stats
+        assert stats["validation_failed"] == 0
+        assert stats["unsupported"] == 0
+        assert stats["built"] == 1

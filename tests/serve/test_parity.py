@@ -22,7 +22,7 @@ from repro.agents.policy import PPOWorkerAgent
 from repro.env import CrowdsensingEnv
 from repro.experiments.scales import get_scale
 from repro.serve import InferError, PolicyEngine
-from repro.serve.engine import _rowwise
+from repro.nn.functional import linear_rows
 
 from .conftest import (
     Expected,
@@ -189,7 +189,7 @@ class TestBatchNativeSelection:
 
 
 class TestStackedMatmulProperty:
-    """What ``_rowwise`` rests on, pinned where a numpy/BLAS that breaks it
+    """What ``linear_rows`` rests on, pinned where a numpy/BLAS that breaks it
     fails loudly instead of as a wrong served action: numpy runs a stacked
     ``(B, 1, in) @ (in, out)`` as one ``M = 1`` product per slice, so it
     reproduces the row-at-a-time bits.  (A plain ``(B, in) @`` does not —
@@ -231,7 +231,8 @@ class TestStackedMatmulProperty:
             for layer in self.head_layers():
                 x = nn.Tensor(rng.standard_normal((8, layer.in_features)))
                 rows = np.concatenate([layer(x[i : i + 1]).data for i in range(8)])
-                assert _rowwise(layer, x).data.tobytes() == rows.tobytes()
+                stacked = linear_rows(x, layer.weight, layer.bias)
+                assert stacked.data.tobytes() == rows.tobytes()
 
 
 class TestGeometryGuards:

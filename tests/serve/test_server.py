@@ -87,9 +87,13 @@ class ServerThread:
         return self
 
     def __exit__(self, *exc):
-        if self.loop is not None:
+        self.stop()
+
+    def stop(self, timeout=30.0):
+        """Run ``server.stop()`` and wait for the loop thread to exit."""
+        if self.loop is not None and self._thread.is_alive():
             self.loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=30)
+        self._thread.join(timeout=timeout)
         assert not self._thread.is_alive(), "server thread failed to exit"
 
     @property
@@ -108,6 +112,55 @@ class ServerThread:
             )
         with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.status, response.read().decode()
+
+
+class SpyServer(InferenceServer):
+    """An InferenceServer that keeps every accepted connection's writer."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.writers = []
+
+    async def _serve_conn(self, reader, writer):
+        self.writers.append(writer)
+        await super()._serve_conn(reader, writer)
+
+
+PIPELINED = 512
+
+
+def stall_a_peer(harness, request):
+    """Connect a peer that pipelines ``PIPELINED`` copies of ``request``
+    and never reads a reply; returns (the first reply, its socket).
+
+    One ordinary request goes first, so the pipelined ones are cache
+    hits.  Kernel buffers are small on both ends (accepted sockets
+    inherit the listener's), so what the server owes sits in its
+    transport's buffer where flow control can see it.
+    """
+    with ServeClient("127.0.0.1", harness.port) as client:
+        first = client.infer_request(request)
+    listener = harness.server._server.sockets[0]
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    stuck = socket.socket()
+    try:
+        stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stuck.settimeout(0.5)
+        stuck.connect(("127.0.0.1", harness.port))
+        try:
+            stuck.sendall(
+                b"".join(encode_infer(request, seq) for seq in range(PIPELINED))
+            )
+        except socket.timeout:
+            pass  # the server stopped reading us: the point
+        deadline = time.monotonic() + 20
+        while len(harness.server.writers) < 2:
+            assert time.monotonic() < deadline, "the stalled peer was never accepted"
+            time.sleep(0.01)
+    except BaseException:
+        stuck.close()
+        raise
+    return first, stuck
 
 
 @pytest.fixture
@@ -295,47 +348,24 @@ class TestReplyOutbox:
         assert cache["hits"] == 2 * 31 and cache["misses"] == 2 + 2 * 31
 
     def test_client_that_never_reads_stops_being_read(self, network_state, cases):
-        writers = []
-
-        class SpyServer(InferenceServer):
-            async def _serve_conn(self, reader, writer):
-                writers.append(writer)
-                await super()._serve_conn(reader, writer)
-
         request, __ = cases[0]
-        pipelined = 512
         pool = InlinePool(network_state, generation=1)
         with ServerThread(pool, server_cls=SpyServer) as harness:
-            with ServeClient("127.0.0.1", harness.port) as client:
-                first = client.infer_request(request)  # the rest are cache hits
-            reply_len = len(encode_result(first, pipelined))
-            request_len = len(encode_infer(request, pipelined))
-            # Small kernel buffers on both ends (accepted sockets inherit
-            # the listener's), so what the server owes sits in its
-            # transport's buffer where flow control can see it.
-            listener = harness.server._server.sockets[0]
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-            stuck = socket.socket()
+            first, stuck = stall_a_peer(harness, request)
             try:
-                stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-                stuck.settimeout(0.5)
-                stuck.connect(("127.0.0.1", harness.port))
-                frames = b"".join(
-                    encode_infer(request, seq) for seq in range(pipelined)
-                )
-                try:
-                    stuck.sendall(frames)
-                except socket.timeout:
-                    pass  # the server stopped reading us: the point
-                transport = writers[-1].transport
+                reply_len = len(encode_result(first, PIPELINED))
+                request_len = len(encode_infer(request, PIPELINED))
+                transport = harness.server.writers[-1].transport
                 high = transport.get_write_buffer_limits()[1]
                 # Per read chunk the loop queues that chunk's replies and
                 # then waits on drain().
                 bound = high + ((1 << 16) // request_len + 2) * reply_len
-                assert bound < pipelined * reply_len  # the bound bites
+                assert bound < PIPELINED * reply_len  # the bound bites
+                # Settled = past the high-water mark (flow control has
+                # engaged) and then unchanged for half a second.
                 size, stable_since = -1, time.monotonic()
                 deadline = time.monotonic() + 20
-                while time.monotonic() - stable_since < 0.5:
+                while size <= high or time.monotonic() - stable_since < 0.5:
                     assert time.monotonic() < deadline, "write buffer never settled"
                     now = transport.get_write_buffer_size()
                     if now != size:
@@ -346,6 +376,26 @@ class TestReplyOutbox:
                 other, expected = cases[1]
                 with ServeClient("127.0.0.1", harness.port) as client:
                     assert_bitwise(client.infer_request(other), expected)
+            finally:
+                stuck.close()
+
+    def test_stop_is_bounded_while_a_peer_never_reads(self, network_state, cases):
+        """A connected peer that never reads cannot hold ``stop()``: the
+        close its connection is owed has a fixed bound, then the
+        transport is aborted."""
+        request, __ = cases[0]
+        pool = InlinePool(network_state, generation=1)
+        with ServerThread(pool, server_cls=SpyServer) as harness:
+            __, stuck = stall_a_peer(harness, request)
+            try:
+                transport = harness.server.writers[-1].transport
+                deadline = time.monotonic() + 20
+                while transport.get_write_buffer_size() == 0:
+                    assert time.monotonic() < deadline, "no reply ever backed up"
+                    time.sleep(0.02)
+                started = time.monotonic()
+                harness.stop(timeout=3.0)  # the peer is still connected
+                assert time.monotonic() - started < 3.0
             finally:
                 stuck.close()
 
