@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Transport benchmark: pipe vs loopback-TCP throughput, f64 vs f32 wire.
+"""Transport benchmark: pipe vs loopback-TCP throughput and wire bytes.
 
 What the CI ``transport`` job runs (and what produced the committed
 ``BENCH_6.json``)::
@@ -15,8 +15,9 @@ Two measurements:
   framing + CRC + TCP on one host, which multi-host deployments pay for
   the ability to exist at all.
 * **Wire bytes** per full parameter round-trip (weight broadcast +
-  gradient return) under the float64 and float32 encodings — f32 halves
-  the tensor payload; the header/CRC overhead is measured, not assumed.
+  gradient return) under the float64 encoding; the header/CRC overhead
+  is measured, not assumed.  (The committed ``BENCH_6.json`` also has a
+  float32 row, from a wire encoding that has since been removed.)
 """
 
 from __future__ import annotations
@@ -76,19 +77,15 @@ def bench_wire(shapes) -> dict:
 
     rng = np.random.default_rng(0)
     arrays = [rng.standard_normal(shape) for shape in shapes]
-    out = {}
-    for wire_dtype in ("float64", "float32"):
-        payload = encode_tensors(arrays, seq=1, wire_dtype=wire_dtype)
-        framed = encode_frame(T_TENSORS, payload)
-        out[wire_dtype] = {
+    payload = encode_tensors(arrays, seq=1)
+    framed = encode_frame(T_TENSORS, payload)
+    return {
+        "float64": {
             "tensor_payload_bytes": len(payload),
             "framed_bytes": len(framed),
             "round_trip_bytes": 2 * len(framed),  # broadcast + gradients
         }
-    out["f32_over_f64"] = (
-        out["float32"]["framed_bytes"] / out["float64"]["framed_bytes"]
-    )
-    return out
+    }
 
 
 def main(argv=None) -> int:
@@ -124,13 +121,11 @@ def main(argv=None) -> int:
     print("final kappa bitwise-consistent across pipe and loopback TCP")
 
     results["wire"] = bench_wire(shapes)
-    for name in ("float64", "float32"):
-        wire = results["wire"][name]
-        print(
-            f"{name}: {wire['tensor_payload_bytes']} payload bytes, "
-            f"{wire['framed_bytes']} framed"
-        )
-    print(f"f32/f64 framed ratio: {results['wire']['f32_over_f64']:.4f}")
+    wire = results["wire"]["float64"]
+    print(
+        f"float64: {wire['tensor_payload_bytes']} payload bytes, "
+        f"{wire['framed_bytes']} framed"
+    )
 
     if args.json is not None:
         args.json.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")

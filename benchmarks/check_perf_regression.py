@@ -36,10 +36,7 @@ run at smoke scale.
 argument is then a ``bench_minibatch_scaling.py --json`` dump and the
 check fails when the planned update is not at least
 2x faster than the *recorded PR-4 tape mean* in ``BENCH_4.json``,
-modulo the same noise ``threshold`` every other gate gets.  The shard
-fan-out cells are reported but never gated — they are honest
-measurements of whatever core count ran them (``machine.cores`` in the
-dump); BENCH_9.json records the reference numbers.
+modulo the same noise ``threshold`` every other gate gets.
 """
 
 from __future__ import annotations
@@ -137,13 +134,6 @@ def check_minibatch(path: Path, baseline_path: Path, threshold: float) -> int:
         print(
             f"  {name:<{width}}  {mean * 1e3:8.3f}ms"
             f"  x{tape_base / mean:5.2f} vs recorded tape"
-        )
-    cores = payload.get("machine", {}).get("cores")
-    for shards, cell in sorted(payload.get("shard_scaling", {}).items()):
-        print(
-            f"  shard {shards}-way on {cores} core(s)  "
-            f"{float(cell['mean_s']) * 1e3:8.3f}ms"
-            f"  x{float(cell['speedup_vs_1shard']):5.2f} vs 1-way (not gated)"
         )
     plan_mean = float(micro["plan"]["mean_s"])
     # The 2x contract, with the usual noise allowance for slower runners.

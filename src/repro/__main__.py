@@ -268,7 +268,6 @@ def _build_trainer(args, episodes=None):
             "employee_timeout",
             "max_retries",
             "quarantine_max_norm",
-            "wire_dtype",
             "remote_workers",
         )
         if getattr(args, name, None) is not None
@@ -652,7 +651,7 @@ def _configure_train(parser: argparse.ArgumentParser) -> None:
             "(worker processes over framed TCP with heartbeats/reconnect; "
             "workers may also dial in from other hosts, see the `worker` "
             "subcommand). Overrides --mode; results are bitwise-identical "
-            "across all backends for a given seed (float64 wire encoding)."
+            "across all backends for a given seed."
         ),
     )
     parser.add_argument(
@@ -661,14 +660,6 @@ def _configure_train(parser: argparse.ArgumentParser) -> None:
         metavar="HOST:PORT",
         help="socket backend: chief listen address (default 127.0.0.1:0 = "
         "loopback, OS-assigned port; the chosen port is logged)",
-    )
-    parser.add_argument(
-        "--wire-dtype",
-        choices=("float64", "float32"),
-        default=None,
-        help="socket backend: tensor wire encoding. float64 (default) "
-        "round-trips exact bytes and keeps the cross-backend bitwise "
-        "guarantee; float32 halves wire bytes at ~2^-24 relative error",
     )
     parser.add_argument(
         "--remote-workers",

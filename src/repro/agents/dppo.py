@@ -40,7 +40,8 @@ class DPPOAgent(PPOWorkerAgent):
         layer_norm: bool = True,
     ):
         if ppo is None:
-            ppo = PPOConfig(normalize_advantages=True)
+            # PPOConfig normalizes advantages per batch by default.
+            ppo = PPOConfig()
         super().__init__(
             config=config,
             curiosity=NullCuriosity(),

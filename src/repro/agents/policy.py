@@ -269,27 +269,18 @@ class PPOWorkerAgent:
     # ------------------------------------------------------------------
     # Exploitation phase (Algorithm 1, lines 16-23)
     # ------------------------------------------------------------------
-    def compute_gradients(self, batch, *, normalize_advantages: bool = True) -> GradientPack:
+    def compute_gradients(self, batch) -> GradientPack:
         """Compute PPO and curiosity gradients for one minibatch.
 
         The agent's parameters are *not* updated — gradients are returned
         for the chief (or a local optimizer) to apply.
-        ``normalize_advantages=False`` is the sharded-update entry point:
-        the chief has already normalized advantages over the full
-        minibatch (see :mod:`repro.agents.sharding`).
         """
         for param in self.network.parameters():
             param.grad = None
         if self._planner is None:
             self._planner = make_ppo_planner(self.network, self.ppo)
         with trace_span("ppo.update"):
-            stats = ppo_step(
-                self.network,
-                batch,
-                self.ppo,
-                planner=self._planner,
-                normalize_advantages=normalize_advantages,
-            )
+            stats = ppo_step(self.network, batch, self.ppo, planner=self._planner)
         policy_grads = [
             np.zeros_like(p.data) if p.grad is None else p.grad.copy()
             for p in self.network.parameters()

@@ -103,22 +103,15 @@ class PPOStats:
     approx_kl: float
 
 
-def _ppo_arrays(
-    batch: MiniBatch,
-    config: PPOConfig,
-    normalize_advantages: bool = True,
-) -> dict:
+def _ppo_arrays(batch: MiniBatch, config: PPOConfig) -> dict:
     """Plain-array prologue of the PPO update (no tape ops).
 
     Produces the input dict for the taped/planned program; every value is
     an ``np.ndarray`` with a call-stable dtype so the execution planner
-    can key plans on the shape signature alone.  ``normalize_advantages``
-    is ANDed with the config flag — the sharded update path normalizes
-    over the *full* minibatch on the chief and ships pre-normalized
-    advantages, so shard workers pass ``False`` here.
+    can key plans on the shape signature alone.
     """
     advantages = batch.advantages.copy()
-    if config.normalize_advantages and normalize_advantages and len(advantages) > 1:
+    if config.normalize_advantages and len(advantages) > 1:
         advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
     move_mask = np.asarray(batch.move_masks, dtype=bool)
     return {
@@ -225,7 +218,6 @@ def ppo_step(
     batch: MiniBatch,
     config: PPOConfig,
     planner: nn.Planner | None = None,
-    normalize_advantages: bool = True,
 ) -> PPOStats:
     """One full PPO loss evaluation plus backward pass.
 
@@ -234,7 +226,7 @@ def ppo_step(
     runs as a validated execution plan when the fast path is allowed
     (bit-identical by construction, tape otherwise).
     """
-    arrays = _ppo_arrays(batch, config, normalize_advantages=normalize_advantages)
+    arrays = _ppo_arrays(batch, config)
     if planner is not None:
         outs = planner.step(arrays)
     else:

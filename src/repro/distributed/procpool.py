@@ -24,16 +24,6 @@ Each worker is driven by a four-command protocol::
     MINIBATCH chief -> worker   sample one minibatch, compute gradients,
                                 ship them back; reply carries PPOStats +
                                 RNG state
-    SAMPLE    chief -> worker   sample one minibatch exactly as MINIBATCH
-                                would (same RNG consumption) but ship the
-                                *batch* back instead of computing; the
-                                chief shards it (sharded update mode)
-    SHARD     chief -> worker   compute gradients for a chief-supplied
-                                minibatch shard (``normalize_advantages``
-                                already applied full-batch chief-side);
-                                consumes no worker RNG and skips fault
-                                injection — any worker can compute any
-                                shard (see :mod:`repro.agents.sharding`)
     SHUTDOWN  chief -> worker   ack and exit
 
 Commands are strictly serial per worker (at most one outstanding), each
@@ -60,9 +50,9 @@ each successful (or drained) task reply returns the worker's post-task
 ``bit_generator.state`` and the chief stores it; every SYNC ships the
 mirror state back.  Fault-free runs are therefore bitwise-identical to
 the serial and thread backends (same seed derivation, same consumption
-order) — for *any* transport whose wire dtype is float64: commands are
-serial, replies are collected in index order, and duplicate delivery is
-suppressed worker-side so a command consumes worker RNG at most once.
+order) — for *any* transport: commands are serial, replies are collected
+in index order, and duplicate delivery is suppressed worker-side so a
+command consumes worker RNG at most once.
 Checkpoints capture exact employee RNG states, and a respawned worker
 resumes from the last known-good state.
 
@@ -143,8 +133,6 @@ __all__ = ["ProcessEmployeePool", "WorkerDied", "WorkerSpec", "serve_employee"]
 OP_SYNC = "sync"
 OP_EXPLORE = "explore"
 OP_MINIBATCH = "minibatch"
-OP_SAMPLE = "sample"
-OP_SHARD = "shard"
 OP_SHUTDOWN = "shutdown"
 
 # Reply statuses (worker -> chief).
@@ -348,92 +336,6 @@ def serve_employee(spec: WorkerSpec, endpoint: WorkerEndpoint) -> None:
                             pid,
                         ),
                     )
-                elif op == OP_SAMPLE:
-                    episode = payload["episode"]
-                    round_index = payload["round"]
-                    tracer = _ensure_worker_tracer(tracer, payload.get("ctx"))
-                    start = time.perf_counter()
-                    if injector is not None:
-                        injector.before_task(spec.index, episode, round_index)
-                    if rollout is None:
-                        raise RuntimeError(
-                            f"worker {spec.index}: SAMPLE before a "
-                            f"successful EXPLORE"
-                        )
-                    with _task_span(
-                        tracer, "employee.sample", spec.index, episode, round_index
-                    ):
-                        # Byte-for-byte the MINIBATCH sampling step: the
-                        # same generator draw, so the RNG mirror advances
-                        # identically whether the round is sharded or not.
-                        batch = next(
-                            iter(
-                                rollout.minibatches(
-                                    payload["batch_size"], rng, epochs=1
-                                )
-                            )
-                        )
-                    dur = time.perf_counter() - start
-                    if telemetry is not None:
-                        telemetry.note_command(op)
-                        telemetry.observe_phase("gradients", dur)
-                    endpoint.send_reply(
-                        _OK,
-                        seq,
-                        _attach_telemetry(
-                            {
-                                "batch": batch,
-                                "rng_state": rng.bit_generator.state,
-                                "dur": dur,
-                            },
-                            tracer,
-                            telemetry,
-                            host,
-                            pid,
-                        ),
-                    )
-                elif op == OP_SHARD:
-                    episode = payload["episode"]
-                    round_index = payload["round"]
-                    tracer = _ensure_worker_tracer(tracer, payload.get("ctx"))
-                    start = time.perf_counter()
-                    # No injector.before_task here: shard compute consumes
-                    # no RNG and may be re-dispatched to any worker, so
-                    # the deterministic fault surface stays at the SAMPLE
-                    # step (symmetric with the in-process backends, where
-                    # the injector fires once per employee per round).
-                    with _task_span(
-                        tracer, "employee.shard", spec.index, episode, round_index
-                    ):
-                        pack = agent.compute_gradients(
-                            payload["shard"], normalize_advantages=False
-                        )
-                    endpoint.send_gradients(
-                        list(pack.policy) + list(pack.curiosity),
-                        seq=seq,
-                        episode=episode,
-                        round_index=round_index,
-                    )
-                    dur = time.perf_counter() - start
-                    if telemetry is not None:
-                        telemetry.note_command(op)
-                        telemetry.observe_phase("gradients", dur)
-                        telemetry.note_stats(pack.stats)
-                    endpoint.send_reply(
-                        _OK,
-                        seq,
-                        _attach_telemetry(
-                            {
-                                "stats": pack.stats,
-                                "rng_state": rng.bit_generator.state,
-                                "dur": dur,
-                            },
-                            tracer,
-                            telemetry,
-                            host,
-                            pid,
-                        ),
-                    )
                 else:
                     raise RuntimeError(f"unknown opcode {op!r}")
             except InjectedCrash:
@@ -506,7 +408,7 @@ class ProcessEmployeePool:
         (framed TCP with heartbeats/reconnect).
     transport_options:
         Keyword arguments for the :class:`SocketTransport` constructor
-        (listen address, wire dtype, heartbeat cadence, chaos injector).
+        (listen address, heartbeat cadence, chaos injector).
     remote_indices:
         Employee indices whose worker is started externally
         (``python -m repro worker``) rather than forked — socket
@@ -761,9 +663,8 @@ class ProcessEmployeePool:
         episode: int,
         round_index: int = EXPLORE_ROUND,
         batch_size: Optional[int] = None,
-        shard=None,
     ) -> None:
-        """Send one EXPLORE/MINIBATCH/SAMPLE/SHARD command (non-blocking)."""
+        """Send one EXPLORE/MINIBATCH command (non-blocking)."""
         handle = self._workers[index]
         if handle.in_flight is not None:
             raise RuntimeError(
@@ -772,10 +673,8 @@ class ProcessEmployeePool:
         seq = handle.next_seq()
         if op == OP_EXPLORE:
             payload: Dict[str, object] = {"episode": episode}
-        elif op in (OP_MINIBATCH, OP_SAMPLE):
+        elif op == OP_MINIBATCH:
             payload = {"episode": episode, "round": round_index, "batch_size": batch_size}
-        elif op == OP_SHARD:
-            payload = {"episode": episode, "round": round_index, "shard": shard}
         else:
             raise ValueError(f"submit cannot send opcode {op!r}")
         ctx = current_context()
@@ -882,12 +781,11 @@ class ProcessEmployeePool:
     def wait(
         self, index: int, timeout: Optional[float], phase: str
     ) -> Tuple[object, dict]:
-        """Collect one EXPLORE/MINIBATCH/SAMPLE/SHARD result.
+        """Collect one EXPLORE/MINIBATCH result.
 
         Returns ``(outcome, rng_state)`` where ``outcome`` is the
-        :class:`EpisodeResult` (explore), assembled
-        :class:`~repro.agents.policy.GradientPack` (minibatch / shard) or
-        sampled :class:`~repro.agents.rollout.MiniBatch` (sample).  Raises
+        :class:`EpisodeResult` (explore) or the assembled
+        :class:`~repro.agents.policy.GradientPack` (minibatch).  Raises
         ``FuturesTimeoutError`` / :class:`InjectedCrash` /
         :class:`WorkerDied` exactly like the thread backend's futures, so
         the trainer's retry/quorum machinery applies unchanged.
@@ -917,9 +815,7 @@ class ProcessEmployeePool:
             )
         if op == OP_EXPLORE:
             self.explore_durations[index] = float(payload["dur"])
-        if op == OP_SAMPLE:
-            return payload["batch"], rng_state
-        if op in (OP_MINIBATCH, OP_SHARD):
+        if op == OP_MINIBATCH:
             try:
                 arrays, nbytes = handle.channel.read_gradients(seq)
             except ChannelClosed as error:

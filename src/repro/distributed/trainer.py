@@ -75,12 +75,6 @@ import numpy as np
 from .. import nn
 from ..agents.base import EpisodeResult
 from ..agents.policy import GradientPack
-from ..agents.sharding import (
-    combine_shard_packs,
-    compute_sharded_update,
-    normalize_minibatch,
-    split_minibatch,
-)
 from ..env.env import CrowdsensingEnv
 from ..env.metrics import Metrics
 from ..obs.federation import update_employee_lag
@@ -91,14 +85,7 @@ from ..obs.trace import event as trace_event
 from ..obs.trace import span as trace_span
 from .faults import EXPLORE_ROUND, FaultError, FaultInjector, InjectedCrash
 from .gradient_buffer import GradientBuffer, GradientRejected
-from .procpool import (
-    OP_EXPLORE,
-    OP_MINIBATCH,
-    OP_SAMPLE,
-    OP_SHARD,
-    ProcessEmployeePool,
-    WorkerDied,
-)
+from .procpool import OP_EXPLORE, OP_MINIBATCH, ProcessEmployeePool, WorkerDied
 
 _LOG = get_logger(__name__)
 
@@ -166,18 +153,6 @@ class TrainConfig:
     num_employees: int = 8
     episodes: int = 100
     k_updates: int = 4
-    #: Intra-minibatch data parallelism: split each employee's PPO
-    #: minibatch into this many contiguous row shards and compute their
-    #: gradients in parallel (process/socket backends fan the shards out
-    #: over the worker pool; serial/thread run the same shards in shard
-    #: order).  Advantages are normalized over the full minibatch on the
-    #: chief, each shard is weighted ``n_k / B`` and the partial
-    #: gradients are tree-reduced in fixed shard order, so all four
-    #: backends stay bitwise identical to each other.  The sharded
-    #: result differs from the unsharded bits (float addition is not
-    #: associative), which is why the default is 1 (off).  See
-    #: :mod:`repro.agents.sharding`.
-    shard_minibatch: int = 1
     mode: str = "sequential"
     eval_every: int = 0
     seed: int = 0
@@ -188,15 +163,11 @@ class TrainConfig:
     quarantine_max_norm: float = 0.0
     backend: Optional[str] = None
     #: Socket backend only: chief listen address ``(host, port)`` (port 0
-    #: picks a free one), tensor wire encoding (``"float64"`` is the
-    #: bitwise-exact default; ``"float32"`` halves wire bytes at the cost
-    #: of the cross-backend equivalence guarantee), worker heartbeat
-    #: cadence, silence threshold after which a worker is declared dead,
-    #: and how many of the highest employee indices are *external*
-    #: workers (started via ``python -m repro worker``) rather than
-    #: forked locally.
+    #: picks a free one), worker heartbeat cadence, silence threshold
+    #: after which a worker is declared dead, and how many of the highest
+    #: employee indices are *external* workers (started via ``python -m
+    #: repro worker``) rather than forked locally.
     listen: Tuple[str, int] = ("127.0.0.1", 0)
-    wire_dtype: str = "float64"
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 10.0
     remote_workers: int = 0
@@ -224,10 +195,6 @@ class TrainConfig:
             raise ValueError(f"episodes must be >= 1, got {self.episodes}")
         if self.k_updates < 1:
             raise ValueError(f"k_updates must be >= 1, got {self.k_updates}")
-        if self.shard_minibatch < 1:
-            raise ValueError(
-                f"shard_minibatch must be >= 1, got {self.shard_minibatch}"
-            )
         if self.mode not in self._MODE_TO_BACKEND:
             raise ValueError(
                 f"mode must be 'sequential', 'thread', 'process' or 'socket', "
@@ -269,10 +236,6 @@ class TrainConfig:
             raise ValueError(
                 f"quarantine_max_norm cannot be negative, "
                 f"got {self.quarantine_max_norm}"
-            )
-        if self.wire_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"wire_dtype must be 'float64' or 'float32', got {self.wire_dtype!r}"
             )
         if self.heartbeat_interval <= 0:
             raise ValueError(
@@ -617,21 +580,10 @@ class _Employee:
         self.rollout, result = self.agent.collect_episode(self.env, self.rng)  # reprolint: disable=RPL005
         return result
 
-    def sample_minibatch(self, batch_size: int):
-        """One minibatch draw — the exact RNG consumption of a gradient round."""
-        # Lock held by the caller via _guarded_task (see explore()).
-        return next(iter(self.rollout.minibatches(batch_size, self.rng, epochs=1)))  # reprolint: disable=RPL005
-
     def one_minibatch(self, batch_size: int) -> GradientPack:
-        batch = self.sample_minibatch(batch_size)
         # Lock held by the caller via _guarded_task (see explore()).
+        batch = next(iter(self.rollout.minibatches(batch_size, self.rng, epochs=1)))  # reprolint: disable=RPL005
         return self.agent.compute_gradients(batch)  # reprolint: disable=RPL005
-
-    def sharded_minibatch(self, batch_size: int, num_shards: int) -> GradientPack:
-        """Sharded-update reference path: sample once, shards in order."""
-        batch = self.sample_minibatch(batch_size)
-        # Lock held by the caller via _guarded_task (see explore()).
-        return compute_sharded_update(self.agent, batch, num_shards)  # reprolint: disable=RPL005
 
 
 class _EmployeeMirror:
@@ -762,7 +714,6 @@ class ChiefEmployeeTrainer:
             if self.config.backend == "socket":
                 transport_options = {
                     "listen": tuple(self.config.listen),
-                    "wire_dtype": self.config.wire_dtype,
                     "heartbeat_interval": self.config.heartbeat_interval,
                     "heartbeat_timeout": self.config.heartbeat_timeout,
                     "injector": self.net_fault_injector,
@@ -1015,158 +966,6 @@ class ChiefEmployeeTrainer:
         )
         return failures
 
-    def _sharded_round_process(
-        self,
-        active: Sequence[int],
-        episode: int,
-        round_index: int,
-        batch_size: int,
-    ) -> Tuple[Dict[int, object], Set[int]]:
-        """One sharded gradient round against the process pool.
-
-        Two sub-phases:
-
-        1. **SAMPLE** — every active employee draws its minibatch in its
-           own worker (byte-identical RNG consumption to an unsharded
-           round) and ships the batch to the chief.  Retry, timeout,
-           injected-crash and worker-death handling mirror
-           :meth:`_run_phase_process`; the deterministic fault surface
-           (``before_task``) fires here, once per employee per round.
-        2. **SHARD** — the chief normalizes advantages over each full
-           minibatch, splits it into contiguous shards and fans the
-           shard tasks out over the workers that completed sampling, in
-           waves (one in-flight command per worker).  Shard compute
-           consumes no worker RNG, so any worker may compute any shard.
-           A worker that dies mid-shard is revived, its shard resubmitted
-           to the remaining workers (bounded by ``max_retries`` per
-           shard) and the dead worker marked lost for later rounds (its
-           rollout died with it).  Shard waits are blocking — straggler
-           timeouts apply to the sample step only.
-
-        Combining uses the same weighted fixed-order tree reduce as the
-        in-process backends (:mod:`repro.agents.sharding`), so the
-        per-employee contributions are bitwise identical across all four
-        backends.
-        """
-        pool = self._proc_pool
-        config = self.config
-        phase = "gradients"
-        phase_start = time.perf_counter()
-        lost: Set[int] = set()
-
-        batches: Dict[int, object] = {}
-        pending = list(active)
-        attempt = 0
-        while pending and attempt <= config.max_retries:
-            if attempt and config.retry_backoff > 0:
-                time.sleep(config.retry_backoff * (2 ** (attempt - 1)))
-            failures: List[int] = []
-            for index in pending:
-                if not pool.has_in_flight(index):
-                    pool.submit(
-                        index, OP_SAMPLE, episode, round_index, batch_size=batch_size
-                    )
-            timeout = config.employee_timeout if config.employee_timeout > 0 else None
-            wait_start = time.perf_counter()
-            for index in sorted(pending):
-                try:
-                    batch, rng_state = pool.wait(index, timeout, phase)
-                except FuturesTimeoutError:
-                    self._note_timeout(index, episode, round_index, phase)
-                    failures.append(index)
-                except InjectedCrash:
-                    self._note_crash(index, episode, round_index, phase)
-                    failures.append(index)
-                except WorkerDied:
-                    self._note_crash(index, episode, round_index, phase)
-                    pool.revive(
-                        index,
-                        [p.data for p in self._param_tensors],
-                        self.employees[index].rng.bit_generator.state,
-                        episode,
-                    )
-                    lost.add(index)  # the fresh process has no rollout
-                else:
-                    batches[index] = batch
-                    self.employees[index].rng.bit_generator.state = rng_state
-            self._metrics["barrier_wait"].labels(phase=phase).observe(
-                time.perf_counter() - wait_start
-            )
-            pending = failures
-            attempt += 1
-        # Abandoned sample stragglers must be absorbed (and their RNG
-        # consumption mirrored) before any shard payload goes out.
-        for index, state in pool.drain(range(config.num_employees)):
-            self.employees[index].rng.bit_generator.state = state
-
-        ppo_config = self.global_agent.ppo
-        shards: Dict[int, List] = {
-            index: split_minibatch(
-                normalize_minibatch(batches[index], ppo_config),
-                config.shard_minibatch,
-            )
-            for index in sorted(batches)
-        }
-        shard_packs: Dict[int, List] = {
-            index: [None] * len(shards[index]) for index in shards
-        }
-        #: Compute pool: workers that completed sampling (alive, synced).
-        workers = sorted(batches)
-        queue = [(i, j) for i in sorted(shards) for j in range(len(shards[i]))]
-        attempts: Dict[Tuple[int, int], int] = {}
-        failed_shard: Set[int] = set()
-        while queue and workers:
-            wave, queue = queue[: len(workers)], queue[len(workers) :]
-            submitted: List[Tuple[int, Tuple[int, int]]] = []
-            for worker, (i, j) in zip(workers, wave):
-                if i in failed_shard:
-                    continue
-                pool.submit(
-                    worker, OP_SHARD, episode, round_index, shard=shards[i][j]
-                )
-                submitted.append((worker, (i, j)))
-            retry: List[Tuple[int, int]] = []
-            for worker, (i, j) in submitted:
-                try:
-                    pack, __ = pool.wait(worker, None, phase)
-                except WorkerDied:
-                    self._note_crash(worker, episode, round_index, phase)
-                    pool.revive(
-                        worker,
-                        [p.data for p in self._param_tensors],
-                        self.employees[worker].rng.bit_generator.state,
-                        episode,
-                    )
-                    lost.add(worker)  # its rollout died with it
-                    if worker in workers:
-                        workers.remove(worker)
-                    count = attempts.get((i, j), 0) + 1
-                    attempts[(i, j)] = count
-                    if count <= config.max_retries:
-                        retry.append((i, j))
-                    else:
-                        failed_shard.add(i)
-                else:
-                    shard_packs[i][j] = pack
-            queue = retry + queue
-        failed_shard |= {
-            index
-            for index in shards
-            if any(pack is None for pack in shard_packs[index])
-        }
-
-        results: Dict[int, object] = {}
-        for index in sorted(shards):
-            if index in failed_shard:
-                continue
-            results[index] = combine_shard_packs(
-                shard_packs[index], [len(shard) for shard in shards[index]]
-            )
-        self._metrics["phase_seconds"].labels(phase=phase).observe(
-            time.perf_counter() - phase_start
-        )
-        return results, set(pending) | lost | failed_shard
-
     def _drain_carried(self, carried: Dict[int, object], phase: str) -> None:
         """Cancel or finish abandoned straggler futures at phase exit.
 
@@ -1349,31 +1148,16 @@ class ChiefEmployeeTrainer:
         # K synchronous update rounds (Algorithm 1 lines 17-23 /
         # Algorithm 2).
         stats_accum = []
-        num_shards = self.config.shard_minibatch
         for round_index in range(self.config.k_updates):
             with trace_span("phase.gradients", episode=episode, round=round_index):
-                if num_shards > 1 and self._proc_pool is not None:
-                    packs, round_failed = self._sharded_round_process(
-                        active, episode, round_index, batch_size
-                    )
-                elif num_shards > 1:
-                    packs, round_failed = self._run_phase(
-                        lambda e: e.sharded_minibatch(batch_size, num_shards),
-                        active,
-                        episode,
-                        round_index,
-                        phase="gradients",
-                        batch_size=batch_size,
-                    )
-                else:
-                    packs, round_failed = self._run_phase(
-                        lambda e: e.one_minibatch(batch_size),
-                        active,
-                        episode,
-                        round_index,
-                        phase="gradients",
-                        batch_size=batch_size,
-                    )
+                packs, round_failed = self._run_phase(
+                    lambda e: e.one_minibatch(batch_size),
+                    active,
+                    episode,
+                    round_index,
+                    phase="gradients",
+                    batch_size=batch_size,
+                )
             if round_failed:
                 failed |= round_failed
                 active = [i for i in active if i not in round_failed]

@@ -52,7 +52,7 @@ from .socket_transport import (
     SocketTransport,
     SocketWorkerEndpoint,
 )
-from .wire import WIRE_DTYPES, TensorMessage, decode_tensors, encode_tensors
+from .wire import TensorMessage, decode_tensors, encode_tensors
 
 __all__ = [
     "ANY_GENERATION",
@@ -78,7 +78,6 @@ __all__ = [
     "TensorMessage",
     "Transport",
     "TransportError",
-    "WIRE_DTYPES",
     "WorkerEndpoint",
     "build_worker_endpoint",
     "decode_control",

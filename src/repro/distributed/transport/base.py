@@ -80,7 +80,6 @@ class EndpointSpec:
     address: Tuple[str, int] = ("", 0)
     token: str = ""
     generation: int = 0
-    wire_dtype: str = "float64"
     heartbeat_interval: float = 0.5
     connect_timeout: float = 10.0
     connect_backoff: float = 0.05

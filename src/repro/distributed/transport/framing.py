@@ -6,7 +6,7 @@ Every byte that crosses a host boundary travels inside a **frame**::
     ------  ----  -----------------------------------------------------
     0       2     magic  b"RB"  (catches stream desync / non-protocol peers)
     2       1     type   (HELLO/WELCOME/CONTROL/TENSORS/HEARTBEAT)
-    3       1     flags  (reserved; wire-dtype hints live in the payload)
+    3       1     flags  (reserved)
     4       4     length of payload, big-endian unsigned
     8       4     CRC32 over (type, flags, payload), big-endian unsigned
     12      n     payload
@@ -68,7 +68,7 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 # Frame types.
 T_HELLO = 1      # worker -> chief: {index, token, generation, pid}
-T_WELCOME = 2    # chief -> worker: {generation, wire_dtype, ...} or {refused}
+T_WELCOME = 2    # chief -> worker: {generation, ...} or {refused}
 T_CONTROL = 3    # command / reply tuples (pickled)
 T_TENSORS = 4    # weight broadcast / gradient return (see transport.wire)
 T_HEARTBEAT = 5  # worker -> chief liveness beacon

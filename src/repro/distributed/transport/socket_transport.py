@@ -38,7 +38,7 @@ connections, silent peer death, partitions, and the injected chaos of
   from the chief's authoritative weight + RNG mirrors.
 
 Determinism: none of this machinery touches training RNG streams.  The
-default ``float64`` wire encoding round-trips exact bytes, commands are
+``float64`` wire encoding round-trips exact bytes, commands are
 strictly serial per worker, and replies are collected in the same order
 as the pipe transport — the loopback bitwise gate in the test suite
 holds the proof.
@@ -76,7 +76,7 @@ from .framing import (
     frame_type_name,
 )
 from .netfaults import NetworkFaultInjector
-from .wire import WIRE_DTYPES, decode_tensors, encode_tensors
+from .wire import decode_tensors, encode_tensors
 
 _LOG = get_logger(__name__)
 
@@ -196,7 +196,6 @@ class SocketChiefChannel(ChiefChannel):
             address=transport.address,
             token=transport.token,
             generation=generation,
-            wire_dtype=transport.wire_dtype,
             heartbeat_interval=transport.heartbeat_interval,
             connect_timeout=transport.connect_timeout,
             connect_backoff=transport.connect_backoff,
@@ -272,7 +271,6 @@ class SocketChiefChannel(ChiefChannel):
             welcome = {
                 "accepted": True,
                 "generation": self._generation,
-                "wire_dtype": self._transport.wire_dtype,
                 "heartbeat_interval": self._transport.heartbeat_interval,
             }
             welcome.update(self.welcome_extra)
@@ -288,7 +286,6 @@ class SocketChiefChannel(ChiefChannel):
             arrays,
             seq=seq,
             episode=episode,
-            wire_dtype=self._transport.wire_dtype,
         )
         frame = encode_frame(T_TENSORS, payload)
         with self._cond:
@@ -569,7 +566,6 @@ class SocketTransport(Transport):
         shapes: Sequence[Tuple[int, ...]],
         listen: Tuple[str, int] = ("127.0.0.1", 0),
         token: Optional[str] = None,
-        wire_dtype: str = "float64",
         heartbeat_interval: float = 0.5,
         heartbeat_timeout: float = 10.0,
         connect_timeout: float = 10.0,
@@ -581,10 +577,6 @@ class SocketTransport(Transport):
         read_timeout: float = 30.0,
         injector: Optional[NetworkFaultInjector] = None,
     ):
-        if wire_dtype not in WIRE_DTYPES:
-            raise ValueError(
-                f"wire_dtype must be one of {sorted(WIRE_DTYPES)}, got {wire_dtype!r}"
-            )
         if heartbeat_interval <= 0:
             raise ValueError(f"heartbeat_interval must be > 0, got {heartbeat_interval}")
         if heartbeat_timeout <= heartbeat_interval:
@@ -593,7 +585,6 @@ class SocketTransport(Transport):
                 f"heartbeat_interval ({heartbeat_interval})"
             )
         self.shapes = tuple(tuple(int(d) for d in shape) for shape in shapes)
-        self.wire_dtype = wire_dtype
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.connect_timeout = float(connect_timeout)
@@ -1009,7 +1000,6 @@ class SocketWorkerEndpoint(WorkerEndpoint):
             seq=seq,
             episode=episode,
             round_index=round_index,
-            wire_dtype=self._spec.wire_dtype,
         )
         frame = encode_frame(T_TENSORS, payload)
         self._staged.append(frame)

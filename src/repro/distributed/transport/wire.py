@@ -10,22 +10,14 @@ the concatenated array payloads in layout order::
     0       8     seq (big-endian signed)   — slab-stamp equivalent
     8       8     episode (big-endian signed)
     16      8     round (big-endian signed)
-    24      1     wire-dtype code (0 = float64, 1 = float32)
+    24      1     dtype code (always 0 = float64)
     25      7     reserved (zero)
     32      n     array payloads, contiguous, layout order
 
-Wire dtype
-----------
-``float64`` is the default and the only encoding compatible with the
-repo's bitwise-equivalence contract: every weight broadcast and gradient
-return round-trips the exact bytes NumPy holds in memory.  ``float32``
-is an explicit opt-in that halves wire bytes at the cost of precision:
-for any finite ``x`` within float32 range, the round-trip
-``float64(float32(x))`` satisfies ``|x - rt(x)| <= 2**-24 * |x|`` (half
-an ulp of the 24-bit significand; values beyond ~3.4e38 overflow to
-inf).  That bound is asserted by the codec property tests — narrowed
-transports are for bandwidth-starved deployments, never for runs whose
-results must be comparable across backends.
+Arrays travel as float64, the exact bytes NumPy holds in memory, so every
+weight broadcast and gradient return keeps the repo's bitwise-equivalence
+contract.  The decoder refuses any other dtype code (a float32 frame from
+an older peer included) rather than mis-read its payload.
 """
 
 from __future__ import annotations
@@ -41,7 +33,6 @@ from .framing import FrameError
 __all__ = [
     "TENSOR_HEADER",
     "TensorMessage",
-    "WIRE_DTYPES",
     "decode_tensors",
     "encode_tensors",
     "payload_nbytes",
@@ -49,28 +40,15 @@ __all__ = [
 
 TENSOR_HEADER = struct.Struct(">qqqB7x")
 
-#: Supported wire encodings, name -> (code, numpy dtype).
-WIRE_DTYPES = {
-    "float64": (0, np.dtype(np.float64)),
-    "float32": (1, np.dtype(np.float32)),
-}
-_CODE_TO_DTYPE = {code: dtype for code, dtype in WIRE_DTYPES.values()}
+#: The one dtype code a TENSORS header may carry.
+_FLOAT64_CODE = 0
+_FLOAT64 = np.dtype(np.float64)
 
 
-def _resolve(wire_dtype: str) -> Tuple[int, np.dtype]:
-    try:
-        return WIRE_DTYPES[wire_dtype]
-    except KeyError:
-        raise ValueError(
-            f"wire_dtype must be one of {sorted(WIRE_DTYPES)}, got {wire_dtype!r}"
-        ) from None
-
-
-def payload_nbytes(shapes: Sequence[Tuple[int, ...]], wire_dtype: str = "float64") -> int:
+def payload_nbytes(shapes: Sequence[Tuple[int, ...]]) -> int:
     """Payload size (header included) of one tensor message for ``shapes``."""
-    __, dtype = _resolve(wire_dtype)
     elems = sum(int(np.prod(shape, dtype=np.int64)) for shape in shapes)
-    return TENSOR_HEADER.size + elems * dtype.itemsize
+    return TENSOR_HEADER.size + elems * _FLOAT64.itemsize
 
 
 @dataclass(frozen=True)
@@ -80,7 +58,6 @@ class TensorMessage:
     seq: int
     episode: int
     round: int
-    wire_dtype: str
     arrays: Tuple[np.ndarray, ...]
     nbytes: int
 
@@ -90,20 +67,13 @@ def encode_tensors(
     seq: int,
     episode: int = -1,
     round_index: int = -1,
-    wire_dtype: str = "float64",
 ) -> bytes:
-    """Serialize ``arrays`` into one TENSORS payload.
-
-    The caller's arrays are float64 (the trainer's native dtype);
-    ``wire_dtype="float32"`` narrows them on the way out.
-    """
-    code, dtype = _resolve(wire_dtype)
-    chunks = [TENSOR_HEADER.pack(int(seq), int(episode), int(round_index), code)]
+    """Serialize float64 ``arrays`` into one TENSORS payload."""
+    chunks = [
+        TENSOR_HEADER.pack(int(seq), int(episode), int(round_index), _FLOAT64_CODE)
+    ]
     for array in arrays:
-        # The float32 path deliberately narrows for wire bandwidth
-        # (explicit opt-in; the receiver widens back, bound tested).
-        data = np.ascontiguousarray(array, dtype=dtype)
-        chunks.append(data.tobytes())
+        chunks.append(np.ascontiguousarray(array, dtype=_FLOAT64).tobytes())
     return b"".join(chunks)
 
 
@@ -122,28 +92,25 @@ def decode_tensors(
             f"{TENSOR_HEADER.size}-byte header"
         )
     seq, episode, round_index, code = TENSOR_HEADER.unpack_from(payload)
-    dtype = _CODE_TO_DTYPE.get(code)
-    if dtype is None:
-        raise FrameError(f"unknown wire-dtype code {code}")
-    wire_name = "float64" if dtype.itemsize == 8 else "float32"
-    expected = payload_nbytes(shapes, wire_name)
+    if code != _FLOAT64_CODE:
+        raise FrameError(f"unknown tensor dtype code {code} (only 0 = float64)")
+    expected = payload_nbytes(shapes)
     if len(payload) != expected:
         raise FrameError(
             f"tensor payload is {len(payload)} bytes but the agreed layout "
-            f"needs {expected} ({len(shapes)} arrays, {wire_name} wire)"
+            f"needs {expected} ({len(shapes)} arrays)"
         )
     arrays: List[np.ndarray] = []
     offset = TENSOR_HEADER.size
     for shape in shapes:
         elems = int(np.prod(shape, dtype=np.int64))
-        flat = np.frombuffer(payload, dtype=dtype, count=elems, offset=offset)
-        arrays.append(flat.astype(np.float64).reshape(shape))
-        offset += elems * dtype.itemsize
+        flat = np.frombuffer(payload, dtype=_FLOAT64, count=elems, offset=offset)
+        arrays.append(flat.reshape(shape).copy())
+        offset += elems * _FLOAT64.itemsize
     return TensorMessage(
         seq=int(seq),
         episode=int(episode),
         round=int(round_index),
-        wire_dtype=wire_name,
         arrays=tuple(arrays),
         nbytes=len(payload),
     )

@@ -107,23 +107,6 @@ class TestSocketBitwise:
             assert np.array_equal(got_arrays[key], ref_arrays[key]), key
         assert own_shm_segments() == []  # socket backend uses no slabs
 
-    def test_float32_wire_is_explicit_lossy_opt_in(self, config, ppo, tmp_path):
-        """`wire_dtype="float32"` still trains to completion (the
-        trainer never sees NaN/inf) but is exempt from the bitwise
-        contract — it exists for bandwidth, not comparability."""
-        ref_curves, __, __ = run_and_fingerprint(
-            config, ppo, tmp_path, "f64", backend="socket"
-        )
-        got_curves, __, trainer = run_and_fingerprint(
-            config, ppo, tmp_path, "f32", backend="socket", wire_dtype="float32"
-        )
-        assert trainer.health.healthy
-        assert len(got_curves[0]) == len(ref_curves[0]) == 2
-        for series in got_curves:
-            assert np.all(np.isfinite(series))
-        # Same run to ~f32 precision, not to the bit.
-        np.testing.assert_allclose(got_curves[0], ref_curves[0], rtol=1e-2, atol=1e-2)
-
     def test_fleet_registry_tracks_connections(self, config, ppo):
         trainer = make_trainer(config, ppo, backend="socket", episodes=1)
         transport = trainer._proc_pool.transport

@@ -5,8 +5,7 @@ length-prefixed CRC32-checksummed frame, and damage of any kind — torn
 streams, flipped bits, desynced magic, oversized lengths, truncated
 pickles, layout disagreements — surfaces as :class:`FrameError`, never
 as garbage handed to the trainer.  The float64 wire encoding round-trips
-exact bytes (the bitwise-equivalence contract); float32 is an explicit
-opt-in bounded by half an ulp of the 24-bit significand.
+exact bytes (the bitwise-equivalence contract).
 """
 
 import pickle
@@ -186,9 +185,9 @@ def test_malformed_control_shape_raises():
 SHAPES = [(3, 4), (7,), ()]
 
 
-def _arrays(seed, scale=1.0):
+def _arrays(seed):
     rng = np.random.default_rng(seed)
-    return [rng.standard_normal(shape) * scale for shape in SHAPES]
+    return [rng.standard_normal(shape) for shape in SHAPES]
 
 
 @settings(max_examples=30, deadline=None)
@@ -197,37 +196,15 @@ def test_f64_wire_round_trips_exact_bits(seed, episode, round_index):
     arrays = _arrays(seed)
     payload = encode_tensors(arrays, seq=seed % 997, episode=episode,
                              round_index=round_index)
-    assert len(payload) == payload_nbytes(SHAPES, "float64")
+    assert len(payload) == payload_nbytes(SHAPES)
+    assert payload[24] == 0  # dtype code byte: float64
     message = decode_tensors(payload, SHAPES)
     assert (message.seq, message.episode, message.round) == (
         seed % 997, episode, round_index,
     )
-    assert message.wire_dtype == "float64"
     for sent, got in zip(arrays, message.arrays):
         assert got.dtype == np.float64
         assert np.array_equal(sent, got)  # exact bytes, not approx
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**31), st.floats(1e-6, 1e6))
-def test_f32_wire_error_within_half_ulp(seed, scale):
-    """float32 narrowing: |x - rt(x)| <= 2**-24 * |x| for in-range x —
-    half an ulp of the 24-bit significand, the bound DESIGN § 6f and the
-    wire-module docstring advertise."""
-    arrays = _arrays(seed, scale=scale)
-    payload = encode_tensors(arrays, seq=1, wire_dtype="float32")
-    assert len(payload) == payload_nbytes(SHAPES, "float32")
-    message = decode_tensors(payload, SHAPES)
-    assert message.wire_dtype == "float32"
-    for sent, got in zip(arrays, message.arrays):
-        assert got.dtype == np.float64  # widened back for the trainer
-        assert np.all(np.abs(sent - got) <= 2.0**-24 * np.abs(sent))
-
-
-def test_f32_payload_is_half_the_bytes():
-    f64 = payload_nbytes(SHAPES, "float64") - TENSOR_HEADER.size
-    f32 = payload_nbytes(SHAPES, "float32") - TENSOR_HEADER.size
-    assert f32 * 2 == f64
 
 
 def test_layout_mismatch_raises():
@@ -239,12 +216,13 @@ def test_layout_mismatch_raises():
 
 
 def test_unknown_wire_dtype_code_raises():
-    payload = bytearray(encode_tensors(_arrays(0), seq=1))
-    payload[24] = 200  # dtype code byte
-    with pytest.raises(FrameError, match="wire-dtype"):
-        decode_tensors(bytes(payload), SHAPES)
-    with pytest.raises(ValueError, match="wire_dtype"):
-        encode_tensors(_arrays(0), seq=1, wire_dtype="float16")
+    """Code 1 is what an older peer stamped on a float32 frame: it must be
+    refused, never mis-decoded as float64."""
+    for code in (1, 200):
+        payload = bytearray(encode_tensors(_arrays(0), seq=1))
+        payload[24] = code  # dtype code byte
+        with pytest.raises(FrameError, match="dtype code"):
+            decode_tensors(bytes(payload), SHAPES)
 
 
 # ----------------------------------------------------------------------

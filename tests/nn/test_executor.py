@@ -81,9 +81,9 @@ class TestPlanEqualsTape:
         assert planner.stats["validation_failed"] == 0
 
     def test_unpickled_batch_builds_a_plan(self, workload):
-        """Process-worker shard payloads arrive unpickled, so every input
-        array is a view of a pickle buffer; the plan must still resolve
-        them (buffer-identity seeding) instead of rejecting the program."""
+        """An input whose numpy base collapses to a foreign owner — here
+        every array is a view of one pickle buffer — must still resolve
+        (buffer-identity seeding) instead of rejecting the program."""
         agent, batch = workload
         __, ref_grads = tape_reference(agent, batch)
         planner = make_ppo_planner(agent.network, agent.ppo)

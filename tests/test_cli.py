@@ -1,5 +1,6 @@
 """Tests for the top-level ``python -m repro`` CLI."""
 
+import ast
 import glob
 import json
 import os
@@ -136,7 +137,7 @@ class TestSocketTransportCli:
             [
                 "train", "--method", "cews", "--scale", "smoke",
                 "--episodes", "1", "--backend", "socket",
-                "--remote-workers", "0", "--wire-dtype", "float64",
+                "--remote-workers", "0",
             ]
         )
         assert code == 0
@@ -311,3 +312,19 @@ class TestEnvironmentKnobLedger:
         assert in_src - in_readme == set(), "read in src/, missing from README.md"
         assert in_readme - in_src == set(), "named in README.md, no longer read"
         assert len(in_src) == 11
+
+
+class TestCliFlagLedger:
+    def test_flag_count_is_pinned(self):
+        """``python -m repro`` declares 58 flags (one ``add_argument`` call
+        each, across every subcommand), so a new flag cannot land without
+        moving this pin in review."""
+        tree = ast.parse((SRC_ROOT / "repro" / "__main__.py").read_text())
+        flags = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+        ]
+        assert len(flags) == 58
