@@ -10,7 +10,7 @@ Every agent is updated with PPO on its own per-worker reward stream.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -205,6 +205,16 @@ class EdicsAgent:
             metrics=env.metrics(), extrinsic_reward=extrinsic_total, steps=steps
         )
         return EdicsRollout(buffers), result
+
+    def collect_episodes(
+        self,
+        envs: Sequence[CrowdsensingEnv],
+        rngs: Sequence[np.random.Generator],
+    ) -> List[Tuple[EdicsRollout, EpisodeResult]]:
+        """One :meth:`collect_episode` per env, in order (the trainer's
+        group protocol; Edics acts through W separate networks, so it has
+        no stacked forward to share)."""
+        return [self.collect_episode(env, rng) for env, rng in zip(envs, rngs)]
 
     # ------------------------------------------------------------------
     # Gradients (uniform protocol with PPOWorkerAgent)

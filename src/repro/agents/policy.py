@@ -13,7 +13,8 @@ The rollout is batch-native where that keeps every bit: ``act_full``
 replays a forward-only execution plan of
 :meth:`~repro.agents.networks.CNNActorCritic.forward_rows` — the same
 row-invariant program the inference service runs over a batch — and
-``collect_episode`` scores curiosity once per episode over the whole
+``collect_episodes`` steps a group of envs in lockstep through one such
+forward per time slot, then scores curiosity once over every row's
 trajectory instead of once per step.  The PPO update keeps
 :meth:`~repro.agents.networks.CNNActorCritic.forward` and its plain
 minibatch GEMMs.
@@ -22,7 +23,7 @@ minibatch GEMMs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +40,12 @@ from .ppo import PPOConfig, PPOStats, make_ppo_planner, ppo_loss, ppo_step
 from .rollout import RolloutBuffer, Transition
 
 __all__ = ["PPOWorkerAgent", "GradientPack"]
+
+
+def _stack_rows(rows: List[np.ndarray]) -> np.ndarray:
+    """``rows`` on a new leading axis; a lone row (every step of a group
+    of one) is a view instead of a copy."""
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
 @dataclass
@@ -157,23 +164,49 @@ class PPOWorkerAgent:
             state = env._state()
         move_mask = env.valid_moves()
         worker_features = self.worker_features_of(env)
-        if self._act_planner is None:
-            self._act_planner = nn.ForwardPlanner(self.network.forward_rows, name="act")
-        with nn.no_grad():
-            outputs = self._act_planner.step(
-                row_inputs(state[None], move_mask[None], worker_features[None])
-            )
-            moves, charges, log_prob = select_actions(
-                PolicyOutput.from_arrays(outputs), [None if greedy else rng]
-            )
-        value = float(outputs["value"][0])
+        moves, charges, log_prob, value = self._act_rows(
+            self._acting_planner(1),
+            state[None],
+            move_mask[None],
+            worker_features[None],
+            [None if greedy else rng],
+        )
         return (
             Action(charge=charges[0], move=moves[0]),
             float(log_prob[0]),
-            value,
+            float(value[0]),
             move_mask,
             worker_features,
         )
+
+    def _acting_planner(self, rows: int) -> nn.ForwardPlanner:
+        """The lazily built plan cache of ``forward_rows``, sized for
+        ``rows``: a lockstep group of E rows replays one plan per
+        live-row count, so the cache must hold at least E of them."""
+        if self._act_planner is None:
+            self._act_planner = nn.ForwardPlanner(self.network.forward_rows, name="act")
+        self._act_planner.max_plans = max(self._act_planner.max_plans, rows)
+        return self._act_planner
+
+    @staticmethod
+    def _act_rows(
+        planner: nn.ForwardPlanner,
+        states: np.ndarray,
+        move_masks: np.ndarray,
+        worker_features: np.ndarray,
+        rngs: Sequence[Optional[np.random.Generator]],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One planned forward and one action selection over (B, …) rows.
+
+        Returns ``(moves, charges, log_probs, values)``; row ``i`` draws
+        from ``rngs[i]`` (``None`` picks its greedy action).
+        """
+        with nn.no_grad():
+            outputs = planner.step(row_inputs(states, move_masks, worker_features))
+            moves, charges, log_prob = select_actions(
+                PolicyOutput.from_arrays(outputs), rngs
+            )
+        return moves, charges, log_prob, outputs["value"]
 
     # ------------------------------------------------------------------
     # Exploration phase (Algorithm 1, lines 4-15)
@@ -182,63 +215,102 @@ class PPOWorkerAgent:
         self,
         env: CrowdsensingEnv,
         rng: np.random.Generator,
-        buffer: Optional[RolloutBuffer] = None,
         record_trajectory: bool = False,
     ) -> Tuple[RolloutBuffer, EpisodeResult]:
-        """Roll one episode with the stochastic policy, filling ``buffer``.
+        """Roll one episode with the stochastic policy: a group of one
+        (see :meth:`collect_episodes`)."""
+        return self.collect_episodes([env], [rng], record_trajectory)[0]
+
+    def collect_episodes(
+        self,
+        envs: Sequence[CrowdsensingEnv],
+        rngs: Sequence[np.random.Generator],
+        record_trajectory: bool = False,
+    ) -> List[Tuple[RolloutBuffer, EpisodeResult]]:
+        """Roll one episode per env in lockstep; one (buffer, result) each.
+
+        Every time slot stacks the rows still running into one planned
+        ``forward_rows`` replay and one ``select_actions`` call (row
+        ``i`` draws from ``rngs[i]``), then steps each env with its own
+        row.  A row leaves the group when its env reports done.  Both
+        calls are row-invariant, so each row's bits are those of a
+        rollout of its own: E employees with equal parameters may share
+        one agent.
 
         Each stored reward is ``r_t = r_t^ext + r_t^int`` (Eqn. 10).  The
-        per-step loop only acts and steps the environment; the intrinsic
-        part of every step comes from **one** curiosity call over the
-        whole ``(T, …)`` trajectory after the last step.  That is
-        Algorithm 1 unchanged: the policy never reads ``r_t^int`` while
-        acting, and the forward model's parameters only move in the
-        update phase.  The call is bitwise-equal to T single-step calls
-        because ``intrinsic_reward`` is row-invariant (see
+        intrinsic part of every step of every row comes from **one**
+        curiosity call after the last step.  That is Algorithm 1
+        unchanged: the policy never reads ``r_t^int`` while acting, and
+        the forward model's parameters only move in the update phase.
+        The call is bitwise-equal to one call per step because
+        ``intrinsic_reward`` is row-invariant (see
         :class:`~repro.curiosity.base.CuriosityModule`), and the rewards
-        and running totals are then formed in step order, so every stored
-        float is the one a per-step loop would store.
+        and running totals are then formed per env in step order, so
+        every stored float is the one a per-step loop would store.
         """
-        if buffer is None:
-            buffer = RolloutBuffer(gamma=self.ppo.gamma, gae_lambda=self.ppo.gae_lambda)
-        with trace_span("env.reset"):
-            state = env.reset()
-        trajectory = [env.workers.positions.copy()] if record_trajectory else None
-        steps: List[dict] = []
-        done = False
-        while not done:
-            positions_before = env.workers.positions.copy()
-            with trace_span("policy.act", step=len(steps)):
-                action, log_prob, value, move_mask, worker_features = self.act_full(
-                    env, rng, greedy=False, state=state
+        if len(envs) != len(rngs):
+            raise ValueError(f"got {len(rngs)} generators for {len(envs)} envs")
+        planner = self._acting_planner(len(envs))
+        states = []
+        for env in envs:
+            with trace_span("env.reset"):
+                states.append(env.reset())
+        trajectories = [
+            [env.workers.positions.copy()] if record_trajectory else None
+            for env in envs
+        ]
+        steps: List[List[dict]] = [[] for __ in envs]
+        live = list(range(len(envs)))
+        slot = 0
+        while live:
+            move_masks = [envs[i].valid_moves() for i in live]
+            features = [self.worker_features_of(envs[i]) for i in live]
+            with trace_span("policy.act", step=slot, rows=len(live)):
+                moves, charges, log_probs, values = self._act_rows(
+                    planner,
+                    _stack_rows([states[i] for i in live]),
+                    _stack_rows(move_masks),
+                    _stack_rows(features),
+                    [rngs[i] for i in live],
                 )
-            with trace_span("env.step", step=len(steps)):
-                next_state, extrinsic, done, info = env.step(action)
-            # Transition fields; ``reward`` holds r^ext until r^int is known.
-            steps.append(
-                dict(
-                    state=state,
-                    move_mask=move_mask,
-                    moves=action.move,
-                    charges=action.charge,
-                    log_prob=log_prob,
-                    value=value,
-                    reward=extrinsic,
-                    done=done,
-                    positions=positions_before,
-                    next_positions=info["positions"].copy(),
-                    next_state=next_state,
-                    worker_features=worker_features,
+            running = []
+            for row, i in enumerate(live):
+                env = envs[i]
+                positions_before = env.workers.positions.copy()
+                action = Action(charge=charges[row], move=moves[row])
+                with trace_span("env.step", step=slot):
+                    next_state, extrinsic, done, info = env.step(action)
+                # Transition fields; ``reward`` holds r^ext until r^int is known.
+                steps[i].append(
+                    dict(
+                        state=states[i],
+                        move_mask=move_masks[row],
+                        moves=action.move,
+                        charges=action.charge,
+                        log_prob=float(log_probs[row]),
+                        value=float(values[row]),
+                        reward=extrinsic,
+                        done=done,
+                        positions=positions_before,
+                        next_positions=info["positions"].copy(),
+                        next_state=next_state,
+                        worker_features=features[row],
+                    )
                 )
-            )
-            state = next_state
-            if trajectory is not None:
-                trajectory.append(info["positions"].copy())
+                states[i] = next_state
+                if trajectories[i] is not None:
+                    trajectories[i].append(info["positions"].copy())
+                if not done:
+                    running.append(i)
+            live = running
+            slot += 1
+
+        flat = [step for episode in steps for step in episode]
 
         def column(name: str) -> np.ndarray:
-            return np.stack([step[name] for step in steps])
+            return np.stack([step[name] for step in flat])
 
-        with trace_span("curiosity.intrinsic", steps=len(steps)):
+        with trace_span("curiosity.intrinsic", steps=len(flat), rows=len(envs)):
             intrinsic = self.curiosity.intrinsic_reward(
                 TransitionBatch(
                     positions=column("positions"),
@@ -247,24 +319,29 @@ class PPOWorkerAgent:
                     states=column("state") if self._needs_states else None,
                     next_states=column("next_state") if self._needs_states else None,
                 )
+            ).tolist()
+        episodes = []
+        offset = 0
+        for env, episode, trajectory in zip(envs, steps, trajectories):
+            buffer = RolloutBuffer(gamma=self.ppo.gamma, gae_lambda=self.ppo.gae_lambda)
+            extrinsic_total = 0.0
+            intrinsic_total = 0.0
+            for step, bonus in zip(episode, intrinsic[offset : offset + len(episode)]):
+                extrinsic_total += step["reward"]
+                intrinsic_total += bonus
+                step["reward"] = step["reward"] + bonus
+                buffer.add(Transition(**step))
+            offset += len(episode)
+            buffer.finalize(bootstrap_value=0.0)
+            result = EpisodeResult(
+                metrics=env.metrics(),
+                extrinsic_reward=extrinsic_total,
+                intrinsic_reward=intrinsic_total,
+                steps=len(episode),
+                trajectory=trajectory,
             )
-        extrinsic_total = 0.0
-        intrinsic_total = 0.0
-        for step, bonus in zip(steps, intrinsic.tolist()):
-            extrinsic_total += step["reward"]
-            intrinsic_total += bonus
-            step["reward"] = step["reward"] + bonus
-            buffer.add(Transition(**step))
-
-        buffer.finalize(bootstrap_value=0.0)
-        result = EpisodeResult(
-            metrics=env.metrics(),
-            extrinsic_reward=extrinsic_total,
-            intrinsic_reward=intrinsic_total,
-            steps=len(steps),
-            trajectory=trajectory,
-        )
-        return buffer, result
+            episodes.append((buffer, result))
+        return episodes
 
     # ------------------------------------------------------------------
     # Exploitation phase (Algorithm 1, lines 16-23)

@@ -19,7 +19,8 @@ this module offers four drivers with bitwise-identical results given a
 seed (``TrainConfig.backend``):
 
 * ``backend="serial"`` (``mode="sequential"``) — deterministic, single
-  thread (default for tests);
+  thread (default for tests); the explore phase steps every employee in
+  lockstep, one batched policy forward per time slot;
 * ``backend="thread"`` — employees run in a thread pool (numpy releases
   the GIL inside matmuls, so exploration and gradient computation
   overlap — but the Python autograd dispatch itself stays serialized);
@@ -67,6 +68,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -675,8 +677,9 @@ class ChiefEmployeeTrainer:
         self._eval_rng = np.random.default_rng(child_seeds[-1])
         self._episodes_done = 0
         self._pending_restart: Set[int] = set()
-        #: Last explore-phase wall time per employee (in-process backends;
-        #: the process pool keeps its own ``explore_durations``).  Feeds
+        #: Last explore-phase time per employee (in-process backends; the
+        #: process pool keeps its own ``explore_durations``; serial counts
+        #: a member's share of its group, see ``_explore_group``).  Feeds
         #: the ``repro_employee_lag_seconds`` straggler gauge.
         self._explore_durations: Dict[int, float] = {}
         #: The most recent episode's log (for on_episode_end consumers
@@ -824,9 +827,11 @@ class ChiefEmployeeTrainer:
         to the task's return value and ``failed`` holds employees that
         exhausted every retry.  Only injected crashes, straggler timeouts
         and (process backend) real worker deaths are absorbed; genuine
-        exceptions propagate unchanged.  ``fn`` drives the in-process
-        backends; the process backend dispatches on ``phase`` and
-        ``batch_size`` instead (the employee objects live across a fork).
+        exceptions propagate unchanged.  ``fn`` drives the thread backend
+        and the serial gradient rounds; the serial explore phase runs its
+        pending employees as one lockstep group (:meth:`_explore_group`),
+        and the process backend dispatches on ``phase`` and
+        ``batch_size`` (the employee objects live across a fork).
         """
         config = self.config
         results: Dict[int, object] = {}
@@ -869,6 +874,8 @@ class ChiefEmployeeTrainer:
                 self._metrics["barrier_wait"].labels(phase=phase).observe(
                     time.perf_counter() - wait_start
                 )
+            elif phase == "explore":
+                failures = self._explore_group(pending, results, episode, round_index)
             else:
                 for index in pending:
                     task_start = time.perf_counter()
@@ -905,6 +912,78 @@ class ChiefEmployeeTrainer:
             time.perf_counter() - phase_start
         )
         return results, set(pending) | lost
+
+    def _explore_group(
+        self,
+        pending: Sequence[int],
+        results: Dict[int, object],
+        episode: int,
+        round_index: int,
+    ) -> List[int]:
+        """One serial explore attempt: the pending employees as one group.
+
+        Every member's fault hook runs first, in index order; a crashed
+        member leaves the group (the next attempt retries it in a new
+        group).  The rest roll their episodes in lockstep through the
+        lowest-index member's agent — every member holds the parameters
+        the last sync broadcast, so any member's network gives the same
+        bits — each with its own env and generator.
+
+        A member's elapsed time is its own fault-hook time plus an even
+        share of the group's rollout wall time, so it stays the cost of
+        one employee's episode: a timeout sized for one rollout keeps
+        its meaning however many members the group has.  The timeout is
+        checked against it after the fact, and it is what
+        ``_explore_durations`` records.
+
+        No ``_Employee.lock`` is taken: the serial driver runs no
+        concurrent task, and a group would otherwise nest E locks.
+        """
+        timeout = self.config.employee_timeout
+        failures: List[int] = []
+        hook_seconds: Dict[int, float] = {}
+        for index in pending:
+            start = time.perf_counter()
+            if self.fault_injector is not None:
+                try:
+                    self.fault_injector.before_task(index, episode, round_index)
+                except InjectedCrash:
+                    self._note_crash(index, episode, round_index, "explore")
+                    failures.append(index)
+                    continue
+            hook_seconds[index] = time.perf_counter() - start
+        members = sorted(hook_seconds)
+        if not members:
+            return failures
+        employees = [self.employees[index] for index in members]
+        start = time.perf_counter()
+        with ExitStack() as spans:
+            for index in members:
+                spans.enter_context(
+                    trace_span(
+                        "employee.explore",
+                        employee=index,
+                        episode=episode,
+                        round=round_index,
+                    )
+                )
+            episodes = employees[0].agent.collect_episodes(
+                [employee.env for employee in employees],
+                [employee.rng for employee in employees],
+            )
+        share = (time.perf_counter() - start) / len(members)
+        for index, employee, (rollout, result) in zip(members, employees, episodes):
+            employee.rollout = rollout
+            elapsed = hook_seconds[index] + share
+            self._explore_durations[index] = elapsed
+            if timeout > 0 and elapsed > timeout:
+                # Sequential driver cannot preempt: the over-budget
+                # result is discarded after the fact.
+                self._note_timeout(index, episode, round_index, "explore")
+                failures.append(index)
+            else:
+                results[index] = result
+        return sorted(failures)
 
     def _run_phase_process(
         self,

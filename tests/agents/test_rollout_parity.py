@@ -7,6 +7,11 @@ taped ``network.forward`` under ``no_grad`` per step, and one
 ``intrinsic_reward(TransitionBatch.single(...))`` per step.  Every
 stored ``Transition`` field and the ``EpisodeResult`` must be
 byte-equal to it, for each curiosity module the trainer can run.
+
+``collect_episodes`` steps a group of envs in lockstep through one
+stacked forward per time slot; each row must equal a reference rollout
+of its own, on a fresh agent, env and generator, including rows that
+leave the group early.
 """
 
 import dataclasses
@@ -150,19 +155,40 @@ def assert_same_episode(got, want):
     assert as_bytes(result) == as_bytes(ref_result)
 
 
-def twins(name):
-    """Two identically built (agent, env, rng) triples."""
+def build(name, horizons=(SCALE.horizon,)):
+    """A fresh agent plus one env and one generator per horizon.
+
+    Every call builds the same agent; env ``i`` runs ``horizons[i]``
+    steps over the same scenario and draws from ``default_rng(11 + i)``.
+    """
     method, overrides = VARIANTS[name]
     config = SCALE.scenario(seed=3)
     scenario = generate_scenario(config)
+    agent = build_agent(
+        method, config, scenario=scenario, ppo=make_ppo_config(SCALE), seed=7,
+        **overrides,
+    )
+    envs = []
+    for horizon in horizons:
+        # The generator ignores the horizon: every env sees the same map.
+        env_config = SCALE.scenario(seed=3, horizon=horizon)
+        envs.append(
+            CrowdsensingEnv(
+                env_config,
+                reward_mode=agent.reward_mode,
+                scenario=generate_scenario(env_config),
+            )
+        )
+    rngs = [np.random.default_rng(11 + i) for i in range(len(horizons))]
+    return agent, envs, rngs
+
+
+def twins(name):
+    """Two identically built (agent, env, rng) triples."""
     out = []
     for __ in range(2):
-        agent = build_agent(
-            method, config, scenario=scenario, ppo=make_ppo_config(SCALE), seed=7,
-            **overrides,
-        )
-        env = CrowdsensingEnv(config, reward_mode=agent.reward_mode, scenario=scenario)
-        out.append((agent, env, np.random.default_rng(11)))
+        agent, (env,), (rng,) = build(name)
+        out.append((agent, env, rng))
     return out
 
 
@@ -205,6 +231,75 @@ def test_act_planner_is_rebuilt_not_copied():
         assert clone._act_planner is None
         clone.act_full(env, np.random.default_rng(0))
         assert clone._act_planner.program.__self__ is clone.network
+
+
+def assert_group_matches_separate_rollouts(name, horizons, record_trajectory=False):
+    """A lockstep group ≡ one per-step reference rollout per env, each on
+    a fresh copy of the agent, its env and its generator."""
+    agent, envs, rngs = build(name, horizons)
+    got = agent.collect_episodes(envs, rngs, record_trajectory=record_trajectory)
+    assert len(got) == len(envs)
+    __, ref_envs, ref_rngs = build(name, horizons)
+    for i, (buffer, result) in enumerate(got):
+        ref_agent, __, __ = build(name)
+        want = reference_collect_episode(ref_agent, ref_envs[i], ref_rngs[i])
+        if record_trajectory:
+            # The reference records no trajectory: rebuild it from the
+            # positions it stored (start, then after every step).
+            ref_steps = want[0]._transitions
+            expected = [ref_steps[0].positions] + [t.next_positions for t in ref_steps]
+            assert len(result.trajectory) == len(expected)
+            for mine, theirs in zip(result.trajectory, expected):
+                assert as_bytes(mine) == as_bytes(theirs)
+            result = dataclasses.replace(result, trajectory=None)
+        assert_same_episode((buffer, result), want)
+        assert rngs[i].bit_generator.state == ref_rngs[i].bit_generator.state
+    # One plan per live-row count, every slot planned.
+    lengths = [result.steps for __, result in got]
+    live_counts = {sum(n > t for n in lengths) for t in range(max(lengths))}
+    assert agent._act_planner.stats == {
+        "plan_runs": max(lengths),
+        "tape_runs": 0,
+        "built": len(live_counts),
+        "unsupported": 0,
+        "validation_failed": 0,
+    }
+    return lengths
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_lockstep_group_is_byte_equal_to_separate_rollouts(name, rows):
+    assert_group_matches_separate_rollouts(name, (SCALE.horizon,) * rows)
+
+
+@pytest.mark.parametrize("name", ["cews", "icm"])
+def test_rows_leave_the_group_mid_episode(name):
+    horizons = (SCALE.horizon, SCALE.horizon - 13, SCALE.horizon - 27, SCALE.horizon - 13)
+    lengths = assert_group_matches_separate_rollouts(name, horizons)
+    assert lengths == list(horizons)
+
+
+def test_lockstep_group_records_every_trajectory():
+    horizons = (SCALE.horizon, SCALE.horizon - 9)
+    assert_group_matches_separate_rollouts("cews", horizons, record_trajectory=True)
+
+
+def test_groups_larger_than_the_default_plan_cache_stay_planned():
+    """The act planner's bound follows the group size: ten rows that
+    leave one at a time need ten plans, past the default of eight."""
+    horizons = tuple(SCALE.horizon - 2 * i for i in range(10))
+    agent, envs, rngs = build("dppo", horizons)
+    agent.collect_episodes(envs, rngs)
+    stats = agent._act_planner.stats
+    assert stats["built"] == 10
+    assert stats["tape_runs"] == stats["validation_failed"] == 0
+
+
+def test_collect_episodes_rejects_mismatched_generators():
+    agent, envs, rngs = build("cews", (SCALE.horizon,) * 2)
+    with pytest.raises(ValueError, match="generators"):
+        agent.collect_episodes(envs, rngs[:1])
 
 
 def _train(backend, switch_interval=None):

@@ -259,6 +259,78 @@ class TestStragglers:
         assert trainer.health.employee(1).timeouts == 1
 
 
+class TestLockstepSerialBookkeeping:
+    """The serial explore phase rolls its employees as one lockstep group;
+    the thread backend still runs one employee per task.  Per-employee
+    fault bookkeeping must not see the difference: each cell gives the
+    same history curves and the same health counters on both."""
+
+    @staticmethod
+    def assert_serial_matches_thread(config, ppo, events, **train_overrides):
+        runs = []
+        for mode in ("sequential", "thread"):
+            trainer = make_trainer(
+                config,
+                ppo,
+                injector=FaultInjector(FaultPlan(events=events)),
+                mode=mode,
+                **train_overrides,
+            )
+            history = trainer.train()
+            trainer.close()
+            runs.append((curves(history), trainer.health.summary(), trainer.health))
+        (serial_curves, serial_summary, serial), (thread_curves, thread_summary, thread) = runs
+        assert serial_curves == thread_curves
+        assert serial_summary == thread_summary
+        assert serial.employees == thread.employees
+        return serial
+
+    def test_lockstep_crash_transient_explore(self, config, ppo):
+        health = self.assert_serial_matches_thread(
+            config,
+            ppo,
+            (CrashFault(employee=1, episode=0, times=1),),
+            quorum_fraction=0.5,
+            max_retries=2,
+        )
+        assert health.employee(1).crashes == 1
+        assert health.degraded_episodes == 0
+
+    def test_lockstep_crash_hard_explore_degraded_quorum(self, config, ppo):
+        health = self.assert_serial_matches_thread(
+            config,
+            ppo,
+            (CrashFault(employee=1, episode=0, times=100),),
+            quorum_fraction=0.5,
+            max_retries=1,
+        )
+        assert health.employee(1).crashes == 2
+        assert health.employee(1).restarts == 1
+        assert health.degraded_rounds == 2
+
+    def test_lockstep_crash_gradient_round(self, config, ppo):
+        health = self.assert_serial_matches_thread(
+            config,
+            ppo,
+            (CrashFault(employee=2, episode=0, round=1, times=100),),
+            quorum_fraction=0.5,
+            max_retries=0,
+        )
+        assert health.employee(2).crashes == 1
+        assert health.degraded_rounds == 1
+
+    def test_lockstep_straggle_without_timeout(self, config, ppo):
+        health = self.assert_serial_matches_thread(
+            config,
+            ppo,
+            (
+                StragglerFault(employee=0, episode=0, delay=0.05),
+                StragglerFault(employee=2, episode=1, delay=0.05),
+            ),
+        )
+        assert health.healthy
+
+
 class TestGradientQuarantineSync:
     @pytest.mark.parametrize("fault_mode", ["nan", "inf"])
     def test_corrupt_gradient_quarantined(self, config, ppo, fault_mode):

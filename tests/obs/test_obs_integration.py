@@ -147,6 +147,40 @@ class TestTraceCoversTheTrainingStack:
             assert f"employee.explore[{employee}]" in summary["by_employee"]
         assert summary["by_name"]["episode"]["count"] == 2
 
+    def test_serial_lockstep_keeps_one_explore_span_per_employee_attempt(
+        self, tmp_path, registry
+    ):
+        """The serial explore phase rolls the employees as one lockstep
+        group, yet each employee still gets its own ``employee.explore``
+        span per attempt.  Employee 1's first attempt of episode 0
+        crashes before its rollout, so it has one span there (the retry)
+        and the retry is a group of its own."""
+        from repro.obs import read_trace
+
+        injector = FaultInjector(
+            FaultPlan(events=(CrashFault(employee=1, episode=0, times=1),))
+        )
+        path = trace_path_for(str(tmp_path))
+        with Tracer(path):
+            trainer = make_faulty_trainer(injector)
+            trainer.train()
+            trainer.close()
+        spans = [r for r in read_trace(path) if r.get("type") == "span"]
+
+        explore = [r["attrs"] for r in spans if r["name"] == "employee.explore"]
+        cells = sorted((a["employee"], a["episode"]) for a in explore)
+        assert cells == [(e, ep) for e in range(3) for ep in range(2)]
+
+        # Groups: episode 0 runs {0, 2}, then the retry {1}; episode 1
+        # runs {0, 1, 2}.  One curiosity call and one policy.act per
+        # time slot per group.
+        assert sum(r["name"] == "curiosity.intrinsic" for r in spans) == 3
+        rows = [r["attrs"]["rows"] for r in spans if r["name"] == "policy.act"]
+        horizon = 10
+        assert sorted(rows) == sorted([2] * horizon + [1] * horizon + [3] * horizon)
+        env_steps = sum(r["name"] == "env.step" for r in spans)
+        assert env_steps == 6 * horizon
+
 
 class TestFaultsAreObservable:
     def test_crash_restart_and_quarantine_in_trace_and_metrics(
