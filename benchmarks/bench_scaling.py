@@ -1,18 +1,19 @@
 #!/usr/bin/env python
 """Employee-scaling benchmark: episodes/sec per backend and worker count.
 
-What the CI ``perf`` job runs (and what produced the committed
-``BENCH_5.json``)::
+What the CI ``perf`` job runs::
 
     python benchmarks/bench_scaling.py --employees 1 2 4 \
-        --backends serial thread process --episodes 2 --json scaling.json
+        --backends serial process --episodes 2 --json scaling.json
+
+(The committed ``BENCH_5.json`` was recorded with a third, ``thread``
+backend, since deleted: it never beat serial.)
 
 Each cell trains a fresh seeded smoke-scale DRL-CEWS trainer and reports
 wall time and episodes/sec.  The numbers are *honest measurements of the
 machine that ran them* — the committed baseline records the core count
 alongside, because the scaling story is meaningless without it: with one
-core, thread and process backends can only add overhead (the GIL never
-was the bottleneck there); the process backend's speedup claim applies
+core, the process backend can only add overhead; the process backend's speedup claim applies
 to >= 4-core machines where the per-employee autograd work actually runs
 concurrently.
 """
@@ -36,7 +37,7 @@ from repro.agents import PPOConfig  # noqa: E402
 from repro.distributed import TrainConfig, build_trainer  # noqa: E402
 from repro.env import smoke_config  # noqa: E402
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def bench_cell(backend: str, num_employees: int, episodes: int, seed: int) -> dict:

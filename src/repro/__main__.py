@@ -258,8 +258,7 @@ def _build_trainer(args, episodes=None):
         scale,
         episodes=episodes,
         seed=args.seed,
-        mode=getattr(args, "mode", "sequential"),
-        backend=getattr(args, "backend", None),
+        backend=getattr(args, "backend", "serial"),
     )
     overrides = {
         name: getattr(args, name)
@@ -635,23 +634,16 @@ def _configure_train(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checkpoint", default=None, help="save .npz here")
     parser.add_argument("--history", default=None, help="save CSV logs here")
     parser.add_argument(
-        "--mode",
-        choices=("sequential", "thread", "process", "socket"),
-        default="sequential",
-        help="legacy spelling of --backend (kept for compatibility)",
-    )
-    parser.add_argument(
         "--backend",
-        choices=("serial", "thread", "process", "socket"),
-        default=None,
+        choices=("serial", "process", "socket"),
+        default="serial",
         help=(
             "employee execution backend: serial (one thread, default), "
-            "thread (thread pool; GIL-bound), process (one worker process "
-            "per employee with shared-memory tensor transport), socket "
-            "(worker processes over framed TCP with heartbeats/reconnect; "
-            "workers may also dial in from other hosts, see the `worker` "
-            "subcommand). Overrides --mode; results are bitwise-identical "
-            "across all backends for a given seed."
+            "process (one worker process per employee with shared-memory "
+            "tensor transport), socket (worker processes over framed TCP "
+            "with heartbeats/reconnect; workers may also dial in from other "
+            "hosts, see the `worker` subcommand). Results are "
+            "bitwise-identical across all backends for a given seed."
         ),
     )
     parser.add_argument(

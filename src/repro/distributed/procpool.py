@@ -6,12 +6,11 @@ The paper's synchronous chief–employee architecture (Section V-A, Fig. 1)
 exists to parallelize employee exploration and gradient computation, and
 DPPO-style distributed PPO gets its wall-clock wins from workers
 computing gradients concurrently.  Our autograd substrate is numpy-on-
-Python: the per-op Python dispatch holds the GIL, so the
-``ThreadPoolExecutor`` backend overlaps only the slices of time numpy
-spends inside C kernels — on small CEWS networks that is a minority of
-the step, and the "distributed" trainer runs at roughly serial speed.
-This module gives each :class:`~repro.distributed.trainer._Employee` its
-own **worker process**, so M employees genuinely occupy M cores.
+Python: the per-op Python dispatch holds the GIL, so threads would
+overlap only the slices of time numpy spends inside C kernels — on small
+CEWS networks that is a minority of the step.  This module gives each
+:class:`~repro.distributed.trainer._Employee` its own **worker
+process**, so M employees genuinely occupy M cores.
 
 Protocol
 --------
@@ -49,7 +48,7 @@ The chief keeps the **authoritative RNG mirror** for every employee:
 each successful (or drained) task reply returns the worker's post-task
 ``bit_generator.state`` and the chief stores it; every SYNC ships the
 mirror state back.  Fault-free runs are therefore bitwise-identical to
-the serial and thread backends (same seed derivation, same consumption
+the serial backend (same seed derivation, same consumption
 order) — for *any* transport: commands are serial, replies are collected
 in index order, and duplicate delivery is suppressed worker-side so a
 command consumes worker RNG at most once.
@@ -442,11 +441,11 @@ class ProcessEmployeePool:
             )
         try:
             self._ctx = multiprocessing.get_context("fork")
-        except ValueError as error:  # pragma: no cover - platform-specific
+        except ValueError as error:
             raise RuntimeError(
                 "the process backend requires the 'fork' start method "
                 "(the trainer's factories are closures over the scenario); "
-                "use backend='thread' on platforms without fork"
+                "use backend='serial' on platforms without fork"
             ) from error
         self.num_employees = num_employees
         self.shapes = tuple(tuple(int(d) for d in shape) for shape in shapes)
@@ -580,7 +579,7 @@ class ProcessEmployeePool:
         generation so a stale reconnect is refused.  The fresh worker is
         then re-synced with the current global parameters and the last
         known-good RNG state, so a respawn is observationally identical
-        to a restarted thread employee.
+        to a restarted serial employee.
         """
         handle = self._workers[index]
         handle.in_flight = None
@@ -787,14 +786,14 @@ class ProcessEmployeePool:
         :class:`EpisodeResult` (explore) or the assembled
         :class:`~repro.agents.policy.GradientPack` (minibatch).  Raises
         ``FuturesTimeoutError`` / :class:`InjectedCrash` /
-        :class:`WorkerDied` exactly like the thread backend's futures, so
-        the trainer's retry/quorum machinery applies unchanged.
+        :class:`WorkerDied`, which the trainer's retry/quorum machinery
+        books like the serial driver's crashes and timeouts.
         """
         status, payload, (seq, op, episode, round_index) = self._await_reply(
             index, timeout, phase
         )
         if status == _CRASH:
-            # Mirrors the thread backend: before_task fired, RNG untouched.
+            # Mirrors serial: before_task fired, RNG untouched.
             raise InjectedCrash(
                 f"injected crash: employee {index}, episode {episode}, "
                 f"round {round_index}"
@@ -838,8 +837,8 @@ class ProcessEmployeePool:
         A worker whose retries were exhausted may still be computing; the
         chief must consume that (discarded) reply before the next payload
         write or command, and must fold the worker's post-task RNG state
-        into the mirror — matching the thread backend, where an abandoned
-        straggler also consumes its employee's RNG before the phase ends.
+        into the mirror — matching serial, where an over-budget task also
+        consumes its employee's RNG before the phase ends.
         Returns ``(index, rng_state)`` pairs for the trainer to apply.
         """
         drained: List[Tuple[int, dict]] = []

@@ -15,15 +15,12 @@ Every episode proceeds exactly as the pseudocode prescribes:
 
 The paper argues for this *synchronous* design over asynchronous A3C-style
 updates to avoid policy-lag.  The semantics are sequential-equivalent, so
-this module offers four drivers with bitwise-identical results given a
+this module offers three drivers with bitwise-identical results given a
 seed (``TrainConfig.backend``):
 
-* ``backend="serial"`` (``mode="sequential"``) — deterministic, single
-  thread (default for tests); the explore phase steps every employee in
-  lockstep, one batched policy forward per time slot;
-* ``backend="thread"`` — employees run in a thread pool (numpy releases
-  the GIL inside matmuls, so exploration and gradient computation
-  overlap — but the Python autograd dispatch itself stays serialized);
+* ``backend="serial"`` — deterministic, single thread (the default); the
+  explore phase steps every employee in lockstep, one batched policy
+  forward per time slot;
 * ``backend="process"`` — each employee lives in its own worker process
   (:mod:`repro.distributed.procpool`), with weight broadcast and gradient
   return through shared-memory slabs; occupies multiple cores;
@@ -64,9 +61,7 @@ Deterministic fault injection (for tests and chaos drills) is wired via
 from __future__ import annotations
 
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -85,7 +80,7 @@ from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.trace import event as trace_event
 from ..obs.trace import span as trace_span
-from .faults import EXPLORE_ROUND, FaultError, FaultInjector, InjectedCrash
+from .faults import EXPLORE_ROUND, FaultInjector, InjectedCrash
 from .gradient_buffer import GradientBuffer, GradientRejected
 from .procpool import OP_EXPLORE, OP_MINIBATCH, ProcessEmployeePool, WorkerDied
 
@@ -108,23 +103,19 @@ class TrainConfig:
     Attributes
     ----------
     num_employees:
-        ``M`` — parallel employee threads (paper default: 8).
+        ``M`` — employees (paper default: 8).
     episodes:
         Training episodes (each employee contributes one rollout per
         episode).
     k_updates:
         ``K`` — chief update rounds per episode (Algorithm 1, line 17).
-    mode:
-        Legacy spelling of :attr:`backend`: ``"sequential"``,
-        ``"thread"`` or ``"process"`` (normalized in ``__post_init__``
-        so ``mode`` and ``backend`` always agree).
     backend:
         Employee execution backend — ``"serial"`` (single thread, the
-        default), ``"thread"`` (thread pool; GIL-bound) or ``"process"``
-        (one worker process per employee with shared-memory tensor
-        transport; see :mod:`repro.distributed.procpool`).  ``None``
-        derives the backend from ``mode``.  All three produce
-        bitwise-identical histories and checkpoints for a given seed.
+        default), ``"process"`` (one worker process per employee with
+        shared-memory tensor transport; see
+        :mod:`repro.distributed.procpool`) or ``"socket"`` (the same pool
+        over framed TCP).  All three produce bitwise-identical histories
+        and checkpoints for a given seed.
     eval_every:
         Evaluate the global policy greedily every this many episodes
         (0 disables evaluation).
@@ -137,9 +128,10 @@ class TrainConfig:
         employee failures, with the summed gradient rescaled by
         ``M / count`` so the step magnitude is unbiased.
     employee_timeout:
-        Per-task straggler timeout in seconds (``0`` disables).  In thread
-        mode the chief stops waiting for a late worker; in sequential mode
-        the result of an over-budget task is discarded after the fact.
+        Per-task straggler timeout in seconds (``0`` disables).  On the
+        process and socket backends the chief stops waiting for a late
+        worker; on serial the result of an over-budget task is discarded
+        after the task ends.
     max_retries:
         How many times a crashed or timed-out employee task is retried
         within the same barrier before the employee is marked failed for
@@ -155,7 +147,7 @@ class TrainConfig:
     num_employees: int = 8
     episodes: int = 100
     k_updates: int = 4
-    mode: str = "sequential"
+    backend: str = "serial"
     eval_every: int = 0
     seed: int = 0
     quorum_fraction: float = 1.0
@@ -163,7 +155,6 @@ class TrainConfig:
     max_retries: int = 1
     retry_backoff: float = 0.0
     quarantine_max_norm: float = 0.0
-    backend: Optional[str] = None
     #: Socket backend only: chief listen address ``(host, port)`` (port 0
     #: picks a free one), worker heartbeat cadence, silence threshold
     #: after which a worker is declared dead, and how many of the highest
@@ -181,15 +172,6 @@ class TrainConfig:
     #: changes no training result, matching the obs bitwise contract.
     federate: bool = True
 
-    #: mode spelling -> canonical backend name.
-    _MODE_TO_BACKEND = {
-        "sequential": "serial",
-        "serial": "serial",
-        "thread": "thread",
-        "process": "process",
-        "socket": "socket",
-    }
-
     def __post_init__(self) -> None:
         if self.num_employees < 1:
             raise ValueError(f"need at least one employee, got {self.num_employees}")
@@ -197,27 +179,11 @@ class TrainConfig:
             raise ValueError(f"episodes must be >= 1, got {self.episodes}")
         if self.k_updates < 1:
             raise ValueError(f"k_updates must be >= 1, got {self.k_updates}")
-        if self.mode not in self._MODE_TO_BACKEND:
+        if self.backend not in ("serial", "process", "socket"):
             raise ValueError(
-                f"mode must be 'sequential', 'thread', 'process' or 'socket', "
-                f"got {self.mode!r}"
-            )
-        backend = (
-            self.backend
-            if self.backend is not None
-            else self._MODE_TO_BACKEND[self.mode]
-        )
-        if backend not in ("serial", "thread", "process", "socket"):
-            raise ValueError(
-                f"backend must be 'serial', 'thread', 'process' or 'socket', "
+                f"backend must be 'serial', 'process' or 'socket', "
                 f"got {self.backend!r}"
             )
-        # Normalize so mode and backend always agree (and a
-        # dataclasses.replace() round-trip stays consistent).
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(
-            self, "mode", "sequential" if backend == "serial" else backend
-        )
         if self.eval_every < 0:
             raise ValueError(f"eval_every cannot be negative, got {self.eval_every}")
         if not (0.0 < self.quorum_fraction <= 1.0):
@@ -253,7 +219,7 @@ class TrainConfig:
                 f"remote_workers must be in [0, num_employees], "
                 f"got {self.remote_workers}"
             )
-        if self.remote_workers and backend != "socket":
+        if self.remote_workers and self.backend != "socket":
             raise ValueError("remote_workers requires backend='socket'")
 
     @property
@@ -556,36 +522,20 @@ def _trainer_metrics(registry: Optional[MetricsRegistry] = None) -> Dict[str, ob
 
 
 class _Employee:
-    """One employee thread's local state."""
+    """One in-process employee's local state (serial backend)."""
 
     def __init__(self, agent, env: CrowdsensingEnv, rng: np.random.Generator):
         self.agent = agent
         self.env = env
         self.rng = rng
         self.rollout = None
-        # Serializes this employee's work so an abandoned (timed-out) task
-        # can never race a retry or the next episode's sync on the shared
-        # agent / env / rng state.  Allocated through the module attribute
-        # (not a from-import) so `repro.analysis.lockwatch` can instrument
-        # it: the factory is resolved at construction time, after a
-        # lockwatch enable() has patched it.
-        self.lock = threading.Lock()
 
     def sync(self, global_agent) -> None:
-        with self.lock:
-            self.agent.copy_parameters_from(global_agent)
-
-    def explore(self) -> EpisodeResult:
-        # Lock discipline (RPL005): the chief's _guarded_task holds
-        # self.lock for the full task, so this access is externally
-        # serialized — the intra-class checker cannot see the caller.
-        self.rollout, result = self.agent.collect_episode(self.env, self.rng)  # reprolint: disable=RPL005
-        return result
+        self.agent.copy_parameters_from(global_agent)
 
     def one_minibatch(self, batch_size: int) -> GradientPack:
-        # Lock held by the caller via _guarded_task (see explore()).
-        batch = next(iter(self.rollout.minibatches(batch_size, self.rng, epochs=1)))  # reprolint: disable=RPL005
-        return self.agent.compute_gradients(batch)  # reprolint: disable=RPL005
+        batch = next(iter(self.rollout.minibatches(batch_size, self.rng, epochs=1)))
+        return self.agent.compute_gradients(batch)
 
 
 class _EmployeeMirror:
@@ -705,13 +655,10 @@ class ChiefEmployeeTrainer:
             shapes=[p.data.shape for p in curiosity_params],
             max_norm=self.config.quarantine_max_norm,
         )
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._proc_pool: Optional[ProcessEmployeePool] = None
         #: Global parameters in slab order: policy first, curiosity after.
         self._param_tensors = list(policy_params) + list(curiosity_params)
-        if self.config.backend == "thread":
-            self._pool = ThreadPoolExecutor(max_workers=self.config.num_employees)
-        elif self.config.backend in ("process", "socket"):
+        if self.config.backend in ("process", "socket"):
             transport_options: Dict[str, object] = {}
             remote_indices: Sequence[int] = ()
             if self.config.backend == "socket":
@@ -755,30 +702,6 @@ class ChiefEmployeeTrainer:
     # ------------------------------------------------------------------
     # Resilient barrier
     # ------------------------------------------------------------------
-    def _guarded_task(
-        self, index: int, episode: int, round_index: int, fn, phase: str = "task"
-    ):
-        employee = self.employees[index]
-        with employee.lock:
-            if self.fault_injector is not None:
-                self.fault_injector.before_task(index, episode, round_index)
-            start = time.perf_counter()
-            try:
-                with trace_span(
-                    f"employee.{phase}",
-                    employee=index,
-                    episode=episode,
-                    round=round_index,
-                ):
-                    return fn(employee)
-            finally:
-                if phase == "explore":
-                    # Benign to race under the thread pool: each index is
-                    # written by at most one live task per phase.
-                    self._explore_durations[index] = (
-                        time.perf_counter() - start
-                    )
-
     def _note_crash(self, index: int, episode: int, round_index: int, phase: str) -> None:
         self.health.employee(index).crashes += 1
         self._metrics["crashes"].labels(employee=index).inc()
@@ -814,11 +737,10 @@ class ChiefEmployeeTrainer:
 
     def _run_phase(
         self,
-        fn: Callable[[_Employee], object],
         candidates: Sequence[int],
         episode: int,
         round_index: int,
-        phase: str = "task",
+        phase: str,
         batch_size: Optional[int] = None,
     ) -> Tuple[Dict[int, object], Set[int]]:
         """Run one barrier phase over ``candidates`` with retry + timeout.
@@ -827,91 +749,75 @@ class ChiefEmployeeTrainer:
         to the task's return value and ``failed`` holds employees that
         exhausted every retry.  Only injected crashes, straggler timeouts
         and (process backend) real worker deaths are absorbed; genuine
-        exceptions propagate unchanged.  ``fn`` drives the thread backend
-        and the serial gradient rounds; the serial explore phase runs its
-        pending employees as one lockstep group (:meth:`_explore_group`),
-        and the process backend dispatches on ``phase`` and
-        ``batch_size`` (the employee objects live across a fork).
+        exceptions propagate unchanged.  ``phase`` is ``"explore"`` or
+        ``"gradients"``.  The process pool dispatches on it (the employee
+        objects live across a fork); on serial, explore runs the pending
+        employees as one lockstep group (:meth:`_explore_group`) and a
+        gradient round runs one minibatch per employee in index order.
         """
         config = self.config
         results: Dict[int, object] = {}
         pending = list(candidates)
-        carried: Dict[int, object] = {}  # still-running futures of stragglers
         lost: Set[int] = set()  # dead workers that cannot retry this phase
         attempt = 0
         phase_start = time.perf_counter()
         while pending and attempt <= config.max_retries:
             if attempt and config.retry_backoff > 0:
                 time.sleep(config.retry_backoff * (2 ** (attempt - 1)))
-            failures: List[int] = []
             if self._proc_pool is not None:
                 failures = self._run_phase_process(
                     pending, results, lost, episode, round_index, phase, batch_size
                 )
-            elif self._pool is not None:
-                futures = {
-                    index: carried.pop(index)
-                    if index in carried
-                    else self._pool.submit(
-                        self._guarded_task, index, episode, round_index, fn, phase
-                    )
-                    for index in pending
-                }
-                timeout = config.employee_timeout if config.employee_timeout > 0 else None
-                wait_start = time.perf_counter()
-                for index in sorted(futures):
-                    try:
-                        results[index] = futures[index].result(timeout=timeout)
-                    except FuturesTimeoutError:
-                        # Straggler: keep the future — the retry waits for
-                        # the same task instead of racing a duplicate.
-                        self._note_timeout(index, episode, round_index, phase)
-                        carried[index] = futures[index]
-                        failures.append(index)
-                    except InjectedCrash:
-                        self._note_crash(index, episode, round_index, phase)
-                        failures.append(index)
-                self._metrics["barrier_wait"].labels(phase=phase).observe(
-                    time.perf_counter() - wait_start
-                )
             elif phase == "explore":
                 failures = self._explore_group(pending, results, episode, round_index)
             else:
+                failures = []
                 for index in pending:
-                    task_start = time.perf_counter()
+                    start = time.perf_counter()  # the fault hook counts
                     try:
-                        outcome = self._guarded_task(
-                            index, episode, round_index, fn, phase
-                        )
+                        if self.fault_injector is not None:
+                            self.fault_injector.before_task(index, episode, round_index)
+                        with trace_span(
+                            "employee.gradients",
+                            employee=index,
+                            episode=episode,
+                            round=round_index,
+                        ):
+                            outcome = self.employees[index].one_minibatch(batch_size)
                     except InjectedCrash:
                         self._note_crash(index, episode, round_index, phase)
                         failures.append(index)
                         continue
-                    elapsed = time.perf_counter() - task_start
-                    if config.employee_timeout > 0 and elapsed > config.employee_timeout:
-                        # Sequential driver cannot preempt: the over-budget
-                        # result is discarded after the fact.
-                        self._note_timeout(index, episode, round_index, phase)
+                    elapsed = time.perf_counter() - start
+                    if self._over_budget(index, elapsed, episode, round_index, phase):
                         failures.append(index)
                     else:
                         results[index] = outcome
             pending = failures
             attempt += 1
-        # Phase-exit drain: an abandoned straggler task may still be
-        # running; it must never leak into (and interleave with) the next
-        # phase's work on the same employee.
         if self._proc_pool is not None:
+            # Phase-exit drain: an abandoned straggler task may still be
+            # running; it must never leak into the next phase's work.
             for index, state in self._proc_pool.drain(range(config.num_employees)):
                 # Fold the abandoned task's RNG consumption into the
-                # mirror — matching the thread backend, where the
-                # abandoned task mutates its employee's generator.
+                # mirror — matching serial, whose over-budget task runs
+                # to completion before its result is discarded.
                 self.employees[index].rng.bit_generator.state = state
-        elif carried:
-            self._drain_carried(carried, phase)
         self._metrics["phase_seconds"].labels(phase=phase).observe(
             time.perf_counter() - phase_start
         )
         return results, set(pending) | lost
+
+    def _over_budget(
+        self, index: int, elapsed: float, episode: int, round_index: int, phase: str
+    ) -> bool:
+        """Serial straggler check: the driver cannot preempt, so an
+        over-budget result is discarded after the task ends."""
+        timeout = self.config.employee_timeout
+        if timeout > 0 and elapsed > timeout:
+            self._note_timeout(index, episode, round_index, phase)
+            return True
+        return False
 
     def _explore_group(
         self,
@@ -935,11 +841,7 @@ class ChiefEmployeeTrainer:
         its meaning however many members the group has.  The timeout is
         checked against it after the fact, and it is what
         ``_explore_durations`` records.
-
-        No ``_Employee.lock`` is taken: the serial driver runs no
-        concurrent task, and a group would otherwise nest E locks.
         """
-        timeout = self.config.employee_timeout
         failures: List[int] = []
         hook_seconds: Dict[int, float] = {}
         for index in pending:
@@ -976,10 +878,7 @@ class ChiefEmployeeTrainer:
             employee.rollout = rollout
             elapsed = hook_seconds[index] + share
             self._explore_durations[index] = elapsed
-            if timeout > 0 and elapsed > timeout:
-                # Sequential driver cannot preempt: the over-budget
-                # result is discarded after the fact.
-                self._note_timeout(index, episode, round_index, "explore")
+            if self._over_budget(index, elapsed, episode, round_index, "explore"):
                 failures.append(index)
             else:
                 results[index] = result
@@ -997,12 +896,12 @@ class ChiefEmployeeTrainer:
     ) -> List[int]:
         """One attempt of a barrier phase against the process pool.
 
-        Mirrors the thread branch of :meth:`_run_phase`: commands go out
-        to every pending worker first, results are collected in index
-        order, and the pool's exceptions map onto the same bookkeeping —
-        ``FuturesTimeoutError`` -> timeout (command stays in flight, the
-        retry waits for the same task), ``InjectedCrash`` -> crash (fired
-        worker-side in ``before_task``, RNG mirror untouched),
+        Commands go out to every pending worker first, results are
+        collected in index order, and the pool's exceptions map onto the
+        serial bookkeeping — ``FuturesTimeoutError`` -> timeout (command
+        stays in flight, the retry waits for the same task),
+        ``InjectedCrash`` -> crash (fired worker-side in ``before_task``,
+        RNG mirror untouched),
         :class:`WorkerDied` -> crash + immediate respawn from the mirror.
         A worker that died during a gradient round lost its rollout and
         is marked ``lost`` (failed without retry) for this phase.
@@ -1044,31 +943,6 @@ class ChiefEmployeeTrainer:
             time.perf_counter() - wait_start
         )
         return failures
-
-    def _drain_carried(self, carried: Dict[int, object], phase: str) -> None:
-        """Cancel or finish abandoned straggler futures at phase exit.
-
-        Without this, a future whose retries were exhausted kept running
-        in the thread pool and could interleave with the next phase's
-        work on the same employee (its task holds the employee lock, but
-        the *ordering* of RNG consumption against the next phase was
-        nondeterministic).  Queued futures are cancelled; running ones
-        are waited out and their late results discarded.
-        """
-        for index in sorted(carried):
-            future = carried[index]
-            if future.cancel():
-                continue
-            try:
-                future.result()
-            except FaultError:
-                continue  # late injected crash: already accounted
-            except Exception:
-                _LOG.exception(
-                    "abandoned %s task of employee %d failed while draining",
-                    phase,
-                    index,
-                )
 
     def _note_quarantine(
         self, index: int, episode: int, round_index: int, kind: str
@@ -1194,17 +1068,14 @@ class ChiefEmployeeTrainer:
         with trace_span("phase.sync", episode=episode):
             self._sync_employees(episode)
 
-        # Exploration phase (parallel in thread mode).
+        # Exploration phase (one worker process per employee on the
+        # process/socket backends, one lockstep group on serial).
         self._explore_durations.clear()
         if self._proc_pool is not None:
             self._proc_pool.explore_durations.clear()
         with trace_span("phase.explore", episode=episode):
             explore_results, failed = self._run_phase(
-                lambda e: e.explore(),
-                all_indices,
-                episode,
-                EXPLORE_ROUND,
-                phase="explore",
+                all_indices, episode, EXPLORE_ROUND, phase="explore"
             )
         if self.config.federate:
             durations = (
@@ -1230,7 +1101,6 @@ class ChiefEmployeeTrainer:
         for round_index in range(self.config.k_updates):
             with trace_span("phase.gradients", episode=episode, round=round_index):
                 packs, round_failed = self._run_phase(
-                    lambda e: e.one_minibatch(batch_size),
                     active,
                     episode,
                     round_index,
@@ -1341,10 +1211,7 @@ class ChiefEmployeeTrainer:
         return history
 
     def close(self) -> None:
-        """Shut down worker pools and slabs (no-op for the serial driver)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Shut down the worker pool and slabs (no-op for the serial driver)."""
         if self._proc_pool is not None:
             self._proc_pool.shutdown()
             self._proc_pool = None

@@ -25,7 +25,7 @@ reset, heartbeat loss).  The pool translates that — and only that — into
 already maps onto its crash/restart/degraded-quorum bookkeeping.  A
 ``None`` return from :meth:`ChiefChannel.recv_reply` means *timeout with
 the command still in flight* (the straggler path), which the pool turns
-into the same ``FuturesTimeoutError`` the thread backend raises.
+into ``FuturesTimeoutError``, which the trainer books as a timeout.
 """
 
 from __future__ import annotations

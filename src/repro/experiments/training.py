@@ -73,14 +73,12 @@ def make_train_config(
     num_employees: Optional[int] = None,
     episodes: Optional[int] = None,
     seed: int = 0,
-    mode: str = "sequential",
-    backend: Optional[str] = None,
+    backend: str = "serial",
 ) -> TrainConfig:
     return TrainConfig(
         num_employees=num_employees if num_employees is not None else scale.num_employees,
         episodes=episodes if episodes is not None else scale.episodes,
         k_updates=scale.k_updates,
-        mode=mode,
         backend=backend,
         seed=seed,
     )
@@ -94,8 +92,7 @@ def train_method(
     episodes: Optional[int] = None,
     num_employees: Optional[int] = None,
     batch_size: Optional[int] = None,
-    mode: str = "sequential",
-    backend: Optional[str] = None,
+    backend: str = "serial",
     **agent_kwargs,
 ) -> Tuple[object, TrainingHistory]:
     """Train one learned method; returns (trained global agent, history)."""
@@ -107,7 +104,6 @@ def train_method(
             num_employees=num_employees,
             episodes=episodes,
             seed=seed,
-            mode=mode,
             backend=backend,
         ),
         ppo=make_ppo_config(scale, batch_size=batch_size),

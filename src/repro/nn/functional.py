@@ -138,7 +138,7 @@ def _plan_for(
 
     Keyed on everything the plan depends on (the batch size is not part
     of the plan).  Reads/writes on the dict are atomic under the GIL, so
-    concurrent employee threads at worst build a duplicate plan.
+    concurrent threads at worst build a duplicate plan.
     """
     __, channels, height, width = x_shape
     key = (channels, height, width, kernel, stride)

@@ -32,7 +32,7 @@ _DEFAULT_DTYPE = np.float64
 
 
 class _GradMode(threading.local):
-    """Per-thread autograd switch (employees explore on worker threads)."""
+    """Per-thread autograd switch (serve dispatch runs on executor threads)."""
 
     def __init__(self):
         self.enabled = True

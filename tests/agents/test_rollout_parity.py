@@ -17,6 +17,7 @@ leave the group early.
 import dataclasses
 import struct
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,9 +27,7 @@ from repro.agents.base import EpisodeResult
 from repro.agents.networks import select_actions
 from repro.agents.rollout import RolloutBuffer, Transition
 from repro.curiosity import TransitionBatch
-from repro.distributed import build_trainer
 from repro.distributed.factories import build_agent
-from repro.distributed.trainer import TrainConfig
 from repro.env import CrowdsensingEnv
 from repro.env.actions import Action
 from repro.env.generator import generate_scenario
@@ -302,42 +301,52 @@ def test_collect_episodes_rejects_mismatched_generators():
         agent.collect_episodes(envs, rngs[:1])
 
 
-def _train(backend, switch_interval=None):
-    config = SCALE.scenario(seed=0)
-    trainer = build_trainer(
-        "cews",
-        config,
-        train=TrainConfig(
-            num_employees=4, episodes=2, k_updates=SCALE.k_updates,
-            backend=backend, seed=0,
-        ),
-        ppo=make_ppo_config(SCALE),
-        seed=0,
-    )
-    previous = sys.getswitchinterval()
-    try:
-        if switch_interval is not None:
-            sys.setswitchinterval(switch_interval)
-        history = trainer.train()
-    finally:
-        sys.setswitchinterval(previous)
-        trainer.close()
-    logs = [dataclasses.replace(log, wall_time=0.0) for log in history.logs]
-    state = {k: v.tobytes() for k, v in trainer.global_agent.state_dict().items()}
-    return trainer, [as_bytes(log) for log in logs], state
+def _four_employees():
+    """Four agents, each with its own env and generator (seeds 11..14)."""
+    employees = []
+    for k in range(4):
+        agent, envs, rngs = build("cews", (SCALE.horizon,) * 4)
+        employees.append((agent, envs[k], rngs[k]))
+    return employees
+
+
+def _roll(employee, episodes=2):
+    agent, env, rng = employee
+    return [agent.collect_episodes([env], [rng])[0] for __ in range(episodes)]
 
 
 def test_concurrent_plan_captures_keep_the_thread_backend_bitwise():
-    """Four employee threads build their act plans at once, with the GIL
-    switching as often as it can: captures patch ``Tensor._make``
-    process-wide, so a neighbour's step may fall back to the tape, but
-    no plan may fail validation and no bit may move."""
-    threaded, thread_logs, thread_state = _train("thread", switch_interval=1e-6)
-    __, serial_logs, serial_state = _train("serial")
-    assert thread_logs == serial_logs
-    assert thread_state == serial_state
-    for employee in threaded.employees:
-        stats = employee.agent._act_planner.stats
+    """Four agents roll on four threads at once, with the GIL switching
+    as often as it can: captures patch ``Tensor._make`` process-wide, so
+    a neighbour's step may fall back to the tape, but no plan may fail
+    validation and no bit may move against a sequential run."""
+    expected = [_roll(employee) for employee in _four_employees()]
+    employees = _four_employees()
+    got = [None] * len(employees)
+    errors = []
+
+    def run(k):
+        try:
+            got[k] = _roll(employees[k])
+        except BaseException as error:  # re-raised on the main thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(employees))]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(previous)
+    assert errors == []
+    for mine, theirs in zip(got, expected):
+        for episode, reference in zip(mine, theirs, strict=True):
+            assert_same_episode(episode, reference)
+    for agent, __, __ in employees:
+        stats = agent._act_planner.stats
         assert stats["validation_failed"] == 0
         assert stats["unsupported"] == 0
         assert stats["built"] == 1

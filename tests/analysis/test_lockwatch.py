@@ -385,7 +385,7 @@ class TestForkReset:
         assert watch.findings == []
 
 
-def _seeded_run(checkpoint_path, backend=None):
+def _seeded_run(checkpoint_path, backend):
     """One deterministic 2-episode CEWS train: (curves, checkpoint arrays)."""
     trainer = repro.build_trainer(
         "cews",
@@ -420,7 +420,7 @@ def _assert_bitwise_equal(first, second):
 class TestBitwiseTrainGate:
     """Acceptance: watched runs change nothing and find nothing."""
 
-    @pytest.mark.parametrize("backend", [None, "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_watched_run_bitwise_identical_and_clean(self, tmp_path, backend):
         baseline = _seeded_run(tmp_path / "plain.npz", backend=backend)
         watch = LockWatch(mode="record")
@@ -430,7 +430,7 @@ class TestBitwiseTrainGate:
         finally:
             watch.disable()
         assert watch.findings == []
-        assert watch.stats["acquires"] > 0 or backend is None
+        assert watch.stats["acquires"] > 0
         _assert_bitwise_equal(baseline, watched)
         # Post-disable the world is back to normal: identical again.
         after = _seeded_run(tmp_path / "after.npz", backend=backend)

@@ -59,9 +59,8 @@ def curves(history):
 class TestFaultFreeEquivalence:
     """With no faults fired, the resilient barrier is bitwise-invisible."""
 
-    @pytest.mark.parametrize("mode", ["sequential", "thread"])
-    def test_noop_injector_bitwise_identical(self, config, ppo, mode):
-        plain = make_trainer(config, ppo, mode=mode)
+    def test_noop_injector_bitwise_identical(self, config, ppo):
+        plain = make_trainer(config, ppo)
         plain_history = plain.train()
         plain.close()
 
@@ -69,7 +68,6 @@ class TestFaultFreeEquivalence:
             config,
             ppo,
             injector=FaultInjector(FaultPlan()),
-            mode=mode,
             quorum_fraction=0.5,  # quorum armed but never triggered
             max_retries=2,
         )
@@ -78,15 +76,6 @@ class TestFaultFreeEquivalence:
 
         assert curves(plain_history) == curves(instrumented_history)
         assert instrumented.health.healthy
-
-    def test_sequential_and_thread_identical(self, config, ppo):
-        seq = make_trainer(config, ppo, mode="sequential")
-        seq_history = seq.train()
-        seq.close()
-        thr = make_trainer(config, ppo, mode="thread")
-        thr_history = thr.train()
-        thr.close()
-        assert curves(seq_history) == curves(thr_history)
 
 
 class TestCrashRecovery:
@@ -155,9 +144,9 @@ class TestCrashRecovery:
 
 
 class TestStragglers:
-    def test_straggle_thread_matches_sequential(self, config, ppo):
+    def test_straggle_process_matches_serial(self, config, ppo):
         """Injected delays (no timeout) must not change the math: the
-        threaded driver's history is identical to the sequential one."""
+        process driver's history is identical to the serial one."""
 
         def delayed_plan():
             return FaultPlan(
@@ -168,77 +157,13 @@ class TestStragglers:
             )
 
         histories = []
-        for mode in ("sequential", "thread"):
+        for backend in ("serial", "process"):
             trainer = make_trainer(
-                config, ppo, injector=FaultInjector(delayed_plan()), mode=mode
+                config, ppo, injector=FaultInjector(delayed_plan()), backend=backend
             )
             histories.append(trainer.train())
             trainer.close()
         assert curves(histories[0]) == curves(histories[1])
-
-    def test_straggle_timeout_degrades_barrier(self, config, ppo):
-        # Employee 0 sleeps 2 s in episode 0's exploration; the chief only
-        # waits 0.5 s and proceeds on a 2/3 quorum.  (The generous margins
-        # keep real work well under the timeout even on a loaded box.)
-        injector = FaultInjector(
-            FaultPlan(events=(StragglerFault(employee=0, episode=0, delay=2.0),))
-        )
-        trainer = make_trainer(
-            config,
-            ppo,
-            injector=injector,
-            mode="thread",
-            quorum_fraction=0.5,
-            employee_timeout=0.5,
-            max_retries=0,
-        )
-        history = trainer.train()
-        trainer.close()
-        assert len(history.logs) == 2
-        assert trainer.health.employee(0).timeouts >= 1
-        assert trainer.health.degraded_episodes >= 1
-        # Episode 0's exploration definitely ran without employee 0.
-        assert trainer.health.employee(0).restarts >= 1
-
-    def test_abandoned_straggler_drained_at_phase_exit(self, config, ppo):
-        """Regression: ``_run_phase`` used to leak the future of a
-        timed-out straggler whose retries were exhausted — the task kept
-        running in the pool and could interleave with the next phase's
-        work on the same employee.  The phase must not return while an
-        abandoned task is still executing."""
-        import threading
-        import time
-
-        trainer = make_trainer(
-            config,
-            ppo,
-            mode="thread",
-            employee_timeout=0.2,
-            max_retries=0,
-            quorum_fraction=0.3,
-        )
-        started = threading.Event()
-        finished = threading.Event()
-
-        def task(employee):
-            if employee is trainer.employees[0]:
-                started.set()
-                time.sleep(0.6)
-                finished.set()
-            return "ok"
-
-        results, failed = trainer._run_phase(
-            task, range(3), episode=0, round_index=-1, phase="explore"
-        )
-        try:
-            assert failed == {0}
-            assert sorted(results) == [1, 2]
-            assert trainer.health.employee(0).timeouts == 1
-            # The drained straggler either never ran (cancelled while
-            # queued) or ran to completion before _run_phase returned.
-            assert finished.is_set() or not started.is_set()
-        finally:
-            trainer.close()
 
     def test_straggle_timeout_sequential_discards_result(self, config, ppo):
         injector = FaultInjector(
@@ -248,7 +173,6 @@ class TestStragglers:
             config,
             ppo,
             injector=injector,
-            mode="sequential",
             quorum_fraction=0.5,
             employee_timeout=0.05,
             max_retries=0,
@@ -261,32 +185,32 @@ class TestStragglers:
 
 class TestLockstepSerialBookkeeping:
     """The serial explore phase rolls its employees as one lockstep group;
-    the thread backend still runs one employee per task.  Per-employee
+    the process backend still runs one employee per task.  Per-employee
     fault bookkeeping must not see the difference: each cell gives the
     same history curves and the same health counters on both."""
 
     @staticmethod
-    def assert_serial_matches_thread(config, ppo, events, **train_overrides):
+    def assert_serial_matches_process(config, ppo, events, **train_overrides):
         runs = []
-        for mode in ("sequential", "thread"):
+        for backend in ("serial", "process"):
             trainer = make_trainer(
                 config,
                 ppo,
                 injector=FaultInjector(FaultPlan(events=events)),
-                mode=mode,
+                backend=backend,
                 **train_overrides,
             )
             history = trainer.train()
             trainer.close()
             runs.append((curves(history), trainer.health.summary(), trainer.health))
-        (serial_curves, serial_summary, serial), (thread_curves, thread_summary, thread) = runs
-        assert serial_curves == thread_curves
-        assert serial_summary == thread_summary
-        assert serial.employees == thread.employees
+        (serial_curves, serial_summary, serial), (proc_curves, proc_summary, proc) = runs
+        assert serial_curves == proc_curves
+        assert serial_summary == proc_summary
+        assert serial.employees == proc.employees
         return serial
 
     def test_lockstep_crash_transient_explore(self, config, ppo):
-        health = self.assert_serial_matches_thread(
+        health = self.assert_serial_matches_process(
             config,
             ppo,
             (CrashFault(employee=1, episode=0, times=1),),
@@ -297,7 +221,7 @@ class TestLockstepSerialBookkeeping:
         assert health.degraded_episodes == 0
 
     def test_lockstep_crash_hard_explore_degraded_quorum(self, config, ppo):
-        health = self.assert_serial_matches_thread(
+        health = self.assert_serial_matches_process(
             config,
             ppo,
             (CrashFault(employee=1, episode=0, times=100),),
@@ -309,7 +233,7 @@ class TestLockstepSerialBookkeeping:
         assert health.degraded_rounds == 2
 
     def test_lockstep_crash_gradient_round(self, config, ppo):
-        health = self.assert_serial_matches_thread(
+        health = self.assert_serial_matches_process(
             config,
             ppo,
             (CrashFault(employee=2, episode=0, round=1, times=100),),
@@ -320,7 +244,7 @@ class TestLockstepSerialBookkeeping:
         assert health.degraded_rounds == 1
 
     def test_lockstep_straggle_without_timeout(self, config, ppo):
-        health = self.assert_serial_matches_thread(
+        health = self.assert_serial_matches_process(
             config,
             ppo,
             (

@@ -2,7 +2,7 @@
 death and shared-memory hygiene.
 
 The contract under test (PR 5's tentpole): ``backend="process"`` is
-observationally identical to the serial and thread drivers — same
+observationally identical to the serial driver — same
 seeded histories, same checkpoints, same fault bookkeeping — while the
 transport (pipes + shared-memory slabs) and the worker processes stay
 invisible, and no ``/dev/shm`` segment ever outlives the trainer.
@@ -148,11 +148,11 @@ class TestTensorSlab:
 # Bitwise identity across backends
 # ----------------------------------------------------------------------
 class TestProcessBackendBitwise:
-    def test_process_matches_serial_and_thread(self, config, ppo, tmp_path):
+    def test_process_matches_serial(self, config, ppo, tmp_path):
         """History floats AND checkpoint contents identical across the
-        serial, thread and process backends for one seed."""
+        serial and process backends for one seed."""
         fingerprints = {}
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             trainer = make_trainer(config, ppo, backend=backend)
             history = trainer.train()
             path = tmp_path / f"{backend}.npz"
@@ -164,16 +164,12 @@ class TestProcessBackendBitwise:
             assert trainer.health.healthy
 
         ref_curves, ref_arrays = fingerprints["serial"]
-        for backend in ("thread", "process"):
-            got_curves, got_arrays = fingerprints[backend]
-            assert got_curves == ref_curves, backend
-            assert sorted(got_arrays) == sorted(ref_arrays)
-            for key in ref_arrays:
-                assert got_arrays[key].dtype == ref_arrays[key].dtype, key
-                assert np.array_equal(got_arrays[key], ref_arrays[key]), (
-                    backend,
-                    key,
-                )
+        got_curves, got_arrays = fingerprints["process"]
+        assert got_curves == ref_curves
+        assert sorted(got_arrays) == sorted(ref_arrays)
+        for key in ref_arrays:
+            assert got_arrays[key].dtype == ref_arrays[key].dtype, key
+            assert np.array_equal(got_arrays[key], ref_arrays[key]), key
 
     def test_process_checkpoint_resume_matches_serial(self, config, ppo, tmp_path):
         """A checkpoint saved mid-run restores into a process-backend
@@ -203,16 +199,16 @@ class TestProcessBackendBitwise:
 
 
 # ----------------------------------------------------------------------
-# Fault parity with the thread backend
+# Fault parity with the serial backend
 # ----------------------------------------------------------------------
 @pytest.mark.faults
 class TestProcessBackendFaults:
-    def test_process_injected_crash_matches_thread(self, config, ppo):
+    def test_process_injected_crash_matches_serial(self, config, ppo):
         """The forwarded FaultPlan fires inside the worker and maps onto
         the same crash/restart/degraded bookkeeping — and the
         degraded-quorum gradient rescale matches byte-for-byte."""
         outcomes = {}
-        for backend in ("thread", "process"):
+        for backend in ("serial", "process"):
             injector = FaultInjector(
                 FaultPlan(events=(CrashFault(employee=1, episode=0, times=100),))
             )
@@ -228,8 +224,8 @@ class TestProcessBackendFaults:
             trainer.close()
             outcomes[backend] = (curves(history), trainer.health.summary())
 
-        assert outcomes["process"][0] == outcomes["thread"][0]
-        assert outcomes["process"][1] == outcomes["thread"][1]
+        assert outcomes["process"][0] == outcomes["serial"][0]
+        assert outcomes["process"][1] == outcomes["serial"][1]
         assert outcomes["process"][1]["crashes"] == 2
         assert outcomes["process"][1]["restarts"] == 1
         assert outcomes["process"][1]["degraded_rounds"] == 2
@@ -273,12 +269,12 @@ class TestProcessBackendFaults:
         assert trainer.health.employee(0).restarts >= 1
         assert own_shm_segments() == []
 
-    def test_process_sigkill_mid_explore_matches_thread_crash(self, config, ppo):
+    def test_process_sigkill_mid_explore_matches_serial_crash(self, config, ppo):
         """Hard worker death: SIGKILL a worker mid-EXPLORE.  The chief
         records a crash, respawns + re-seeds the worker from its RNG
         mirror, and the degraded-quorum episode matches the
-        thread-backend injected-crash run byte-for-byte."""
-        # Thread reference: one injected crash, employee 1, episode 0.
+        serial-backend injected-crash run byte-for-byte."""
+        # Serial reference: one injected crash, employee 1, episode 0.
         injector = FaultInjector(
             FaultPlan(events=(CrashFault(employee=1, episode=0, times=1),))
         )
@@ -286,7 +282,7 @@ class TestProcessBackendFaults:
             config,
             ppo,
             injector=injector,
-            backend="thread",
+            backend="serial",
             quorum_fraction=0.5,
             max_retries=0,
         )
@@ -338,6 +334,19 @@ class TestProcessBackendFaults:
 # Shared-memory lifecycle
 # ----------------------------------------------------------------------
 class TestProcessShmLifecycle:
+    def test_missing_fork_points_at_the_serial_backend(self, monkeypatch):
+        import multiprocessing
+
+        from repro.distributed.procpool import ProcessEmployeePool
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        with pytest.raises(RuntimeError, match="use backend='serial'") as excinfo:
+            ProcessEmployeePool(None, None, 1, (), 0, [{}])
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
     def test_no_segments_after_normal_close(self, config, ppo):
         trainer = make_trainer(config, ppo, backend="process", episodes=1)
         names = trainer._proc_pool.slab_names()

@@ -176,7 +176,7 @@ class TestSocketChaos:
             injector=FaultInjector(
                 FaultPlan(events=(CrashFault(employee=2, episode=0, round=1),))
             ),
-            backend="thread",
+            backend="serial",
             quorum_fraction=0.5,
             max_retries=0,
         )
@@ -225,7 +225,7 @@ class TestSocketChaos:
             injector=FaultInjector(
                 FaultPlan(events=(CrashFault(employee=2, episode=0, round=1),))
             ),
-            backend="thread",
+            backend="serial",
             quorum_fraction=0.5,
             max_retries=0,
         )
@@ -265,7 +265,7 @@ class TestSocketChaos:
     def test_heartbeat_loss_matches_sigkill_bookkeeping(self, config, ppo):
         """Pure heartbeat-detected death: the connection stays attached
         but a partition silences it mid-EXPLORE.  TrainerHealth must
-        match the PR 5 thread-backend crash reference exactly — the
+        match the serial-backend crash reference exactly — the
         degraded-quorum recovery path does not care *how* the worker
         died."""
         reference = make_trainer(
@@ -274,7 +274,7 @@ class TestSocketChaos:
             injector=FaultInjector(
                 FaultPlan(events=(CrashFault(employee=1, episode=0, times=1),))
             ),
-            backend="thread",
+            backend="serial",
             quorum_fraction=0.5,
             max_retries=0,
         )
@@ -317,7 +317,7 @@ class TestSocketChaos:
             injector=FaultInjector(
                 FaultPlan(events=(CrashFault(employee=1, episode=0, times=1),))
             ),
-            backend="thread",
+            backend="serial",
             quorum_fraction=0.5,
             max_retries=0,
         )

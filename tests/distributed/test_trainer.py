@@ -31,7 +31,6 @@ class TestTrainConfig:
             ("num_employees", 0),
             ("episodes", 0),
             ("k_updates", 0),
-            ("mode", "bogus"),
             ("backend", "bogus"),
             ("eval_every", -1),
         ],
@@ -40,28 +39,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize(
-        "kwargs,backend,mode",
-        [
-            ({}, "serial", "sequential"),
-            ({"mode": "sequential"}, "serial", "sequential"),
-            ({"mode": "serial"}, "serial", "sequential"),
-            ({"mode": "thread"}, "thread", "thread"),
-            ({"mode": "process"}, "process", "process"),
-            ({"backend": "serial"}, "serial", "sequential"),
-            ({"backend": "thread"}, "thread", "thread"),
-            ({"backend": "process"}, "process", "process"),
-        ],
-    )
-    def test_backend_mode_normalization(self, kwargs, backend, mode):
-        config = TrainConfig(**kwargs)
-        assert config.backend == backend
-        assert config.mode == mode
-        # dataclasses.replace must round-trip the normalized pair.
-        import dataclasses
+    def test_thread_backend_rejected(self):
+        with pytest.raises(ValueError, match="'serial', 'process' or 'socket'"):
+            TrainConfig(backend="thread")
 
-        again = dataclasses.replace(config, episodes=7)
-        assert (again.backend, again.mode) == (backend, mode)
+    def test_mode_field_removed(self):
+        with pytest.raises(TypeError):
+            TrainConfig(mode="sequential")
 
 
 class TestTrainingLoop:
@@ -144,12 +128,6 @@ class TestTrainingLoop:
 
 
 class TestDrivers:
-    def test_thread_mode_runs(self, config, ppo):
-        trainer = make_trainer(config, ppo, mode="thread")
-        history = trainer.train()
-        trainer.close()
-        assert len(history.logs) == 2
-
     def test_context_manager(self, config, ppo):
         with make_trainer(config, ppo) as trainer:
             trainer.train(1)

@@ -11,14 +11,14 @@ from repro.env import smoke_config
 from repro.obs import MetricsRegistry, get_profiler, get_tracer, set_registry
 
 
-def seeded_cews_run(checkpoint_path, backend=None, **train_overrides):
+def seeded_cews_run(checkpoint_path, backend="serial", **train_overrides):
     """One deterministic 2-episode CEWS training run.
 
     Returns ``(curves, checkpoint_arrays)`` where ``curves`` are the
     per-episode float series of the history and ``checkpoint_arrays`` is
     the full content of the saved checkpoint (parameters, Adam moments,
     RNG states, manifest+checksum) — the bitwise fingerprint of the run.
-    ``backend`` picks the employee driver (serial/thread/process); the
+    ``backend`` picks the employee driver (serial/process/socket); the
     fingerprint must not depend on it.
     """
     trainer = build_trainer(

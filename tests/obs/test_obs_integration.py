@@ -61,20 +61,19 @@ class TestTracingIsBitwiseInvisible:
 
 class TestBackendsBitwiseUnderInstrumentation:
     """PR 5/6 acceptance gate: the seeded smoke run is bitwise-identical
-    across the serial / thread / process / socket employee backends,
+    across the serial / process / socket employee backends,
     both plain and under the full instrumentation stack (sanitizer +
     tracer + profiler)."""
 
     def test_backends_identical_plain(self, tmp_path):
         runs = {
             backend: seeded_cews_run(tmp_path / f"{backend}.npz", backend=backend)
-            for backend in ("serial", "thread", "process", "socket")
+            for backend in ("serial", "process", "socket")
         }
-        assert_runs_bitwise_equal(runs["serial"], runs["thread"])
         assert_runs_bitwise_equal(runs["serial"], runs["process"])
         assert_runs_bitwise_equal(runs["serial"], runs["socket"])
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "socket"])
+    @pytest.mark.parametrize("backend", ["serial", "process", "socket"])
     def test_backends_identical_fully_instrumented(self, tmp_path, backend):
         from repro.analysis import Sanitizer
         from repro.obs import OpProfiler

@@ -87,12 +87,20 @@ class TestTrainCommand:
         code = main(
             [
                 "train", "--method", "dppo", "--scale", "smoke",
-                "--episodes", "1", "--mode", "thread",
+                "--episodes", "1", "--backend", "serial",
                 "--quorum-fraction", "0.5", "--employee-timeout", "30",
                 "--max-retries", "2", "--quarantine-max-norm", "1e9",
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flag", [["--backend", "thread"], ["--mode", "sequential"]]
+    )
+    def test_removed_backend_spellings_rejected(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--scale", "smoke", "--episodes", "1", *flag])
+        assert excinfo.value.code == 2
 
     def test_report_command(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
@@ -316,7 +324,7 @@ class TestEnvironmentKnobLedger:
 
 class TestCliFlagLedger:
     def test_flag_count_is_pinned(self):
-        """``python -m repro`` declares 58 flags (one ``add_argument`` call
+        """``python -m repro`` declares 57 flags (one ``add_argument`` call
         each, across every subcommand), so a new flag cannot land without
         moving this pin in review."""
         tree = ast.parse((SRC_ROOT / "repro" / "__main__.py").read_text())
@@ -327,4 +335,4 @@ class TestCliFlagLedger:
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "add_argument"
         ]
-        assert len(flags) == 58
+        assert len(flags) == 57
