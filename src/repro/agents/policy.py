@@ -102,22 +102,26 @@ class PPOWorkerAgent:
             layer_norm=layer_norm,
         )
         self._needs_states = not isinstance(self.curiosity, NullCuriosity)
-        # Lazily-built execution planners for the PPO update program and
-        # the acting forward.  They hold compiled closures over the live
-        # network parameters, so they are rebuilt (not pickled or copied)
-        # on the far side of a process boundary or a deepcopy.
+        # Lazily-built execution planners for the PPO update program, the
+        # curiosity update program and the acting forward.  They hold
+        # compiled closures over the live parameters, so they are rebuilt
+        # (not pickled or copied) on the far side of a process boundary or
+        # a deepcopy.
         self._planner: Optional[nn.Planner] = None
+        self._curiosity_planner: Optional[nn.Planner] = None
         self._act_planner: Optional[nn.ForwardPlanner] = None
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_planner"] = None
+        state["_curiosity_planner"] = None
         state["_act_planner"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._planner = None
+        self._curiosity_planner = None
         self._act_planner = None
 
     # ------------------------------------------------------------------
@@ -375,8 +379,12 @@ class PPOWorkerAgent:
                 states=batch.states if self._needs_states else None,
                 next_states=batch.next_states if self._needs_states else None,
             )
+            if self._curiosity_planner is None:
+                self._curiosity_planner = nn.Planner(
+                    self.curiosity.loss_program, loss="loss", name="curiosity"
+                )
             with trace_span("curiosity.update"):
-                self.curiosity.loss(curiosity_batch).backward()
+                self._curiosity_planner.step(self.curiosity.loss_inputs(curiosity_batch))
             curiosity_grads = [
                 np.zeros_like(p.data) if p.grad is None else p.grad.copy()
                 for p in curiosity_params

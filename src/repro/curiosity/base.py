@@ -13,7 +13,10 @@ full ICM of Pathak et al., and RND — implements :class:`CuriosityModule`:
   :func:`repro.nn.functional.linear_rows`;
 * :meth:`loss` builds the differentiable training loss over a batch of
   transitions so employees can compute gradients for the chief's curiosity
-  gradient buffer;
+  gradient buffer.  It is two halves: :meth:`loss_inputs` turns the batch
+  into plain arrays, and :meth:`loss_program` maps those arrays to
+  ``{"loss": Tensor}`` — the program shape :class:`repro.nn.Planner`
+  captures and replays, which is how an employee runs the update;
 * :meth:`parameters` exposes the trainable parameters (the chief owns the
   optimizer).
 
@@ -24,7 +27,7 @@ each model reads only the fields relevant to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -116,9 +119,17 @@ class CuriosityModule:
         values = self.intrinsic_reward(batch)
         return np.repeat(values[:, None], batch.num_workers, axis=1)
 
+    def loss_inputs(self, batch: TransitionBatch) -> Dict[str, np.ndarray]:
+        """The plain arrays :meth:`loss_program` reads (no tape ops)."""
+        raise NotImplementedError
+
+    def loss_program(self, inputs: Dict[str, np.ndarray]) -> Dict[str, nn.Tensor]:
+        """``{"loss": scalar tensor}`` from :meth:`loss_inputs`' arrays."""
+        raise NotImplementedError
+
     def loss(self, batch: TransitionBatch) -> nn.Tensor:
         """Differentiable training loss (scalar tensor)."""
-        raise NotImplementedError
+        return self.loss_program(self.loss_inputs(batch))["loss"]
 
     def parameters(self) -> List[nn.Parameter]:
         """Trainable parameters (empty for parameter-free modules)."""
@@ -148,8 +159,11 @@ class NullCuriosity(CuriosityModule):
     def intrinsic_reward(self, batch: TransitionBatch) -> np.ndarray:
         return np.zeros(len(batch))
 
-    def loss(self, batch: TransitionBatch) -> nn.Tensor:
-        return nn.Tensor(0.0)
+    def loss_inputs(self, batch: TransitionBatch) -> Dict[str, np.ndarray]:
+        return {}
+
+    def loss_program(self, inputs: Dict[str, np.ndarray]) -> Dict[str, nn.Tensor]:
+        return {"loss": nn.Tensor(0.0)}
 
     def parameters(self) -> List[nn.Parameter]:
         """No parameters."""

@@ -112,11 +112,6 @@ class ICMCuriosity(CuriosityModule):
         )
 
     # ------------------------------------------------------------------
-    def _require_states(self, batch: TransitionBatch):
-        if batch.states is None or batch.next_states is None:
-            raise ValueError("ICMCuriosity needs full states in the TransitionBatch")
-        return np.asarray(batch.states), np.asarray(batch.next_states)
-
     def _one_hot_moves(self, moves: np.ndarray) -> np.ndarray:
         batch_size = moves.shape[0]
         one_hot = np.zeros((batch_size, self.num_workers * NUM_MOVES))
@@ -124,51 +119,60 @@ class ICMCuriosity(CuriosityModule):
             one_hot[np.arange(batch_size), w * NUM_MOVES + moves[:, w]] = 1.0
         return one_hot
 
-    def _forward_errors(self, batch: TransitionBatch) -> nn.Tensor:
-        """(B,) differentiable forward-model squared errors."""
-        states, next_states = self._require_states(batch)
-        phi_t = self.encoder(nn.Tensor(states))
-        phi_t1 = self.encoder(nn.Tensor(next_states)).detach()
-        actions = nn.Tensor(self._one_hot_moves(batch.moves))
-        predicted = self.forward_net(nn.concat([phi_t.detach(), actions], axis=1))
-        diff = predicted - phi_t1
-        return (diff * diff).sum(axis=1)
-
     # ------------------------------------------------------------------
     # CuriosityModule interface
     # ------------------------------------------------------------------
+    def loss_inputs(self, batch: TransitionBatch) -> Dict[str, np.ndarray]:
+        """Full states, the joint one-hot action and the raw moves."""
+        if batch.states is None or batch.next_states is None:
+            raise ValueError("ICMCuriosity needs full states in the TransitionBatch")
+        return {
+            "states": np.asarray(batch.states),
+            "next_states": np.asarray(batch.next_states),
+            "actions": self._one_hot_moves(batch.moves),
+            "moves": batch.moves,
+        }
+
     def intrinsic_reward(self, batch: TransitionBatch) -> np.ndarray:
-        """:meth:`_forward_errors` scaled by ``η``, untaped and row-invariant."""
-        states, next_states = self._require_states(batch)
+        """Forward-model squared error scaled by ``η``, untaped and row-invariant."""
+        inputs = self.loss_inputs(batch)
         hidden, __, out = self.forward_net
         with nn.no_grad():
-            phi_t = self.encoder.forward_rows(nn.Tensor(states))
-            phi_t1 = self.encoder.forward_rows(nn.Tensor(next_states))
-            actions = nn.Tensor(self._one_hot_moves(batch.moves))
-            x = nn.concat([phi_t, actions], axis=1)
+            phi_t = self.encoder.forward_rows(nn.Tensor(inputs["states"]))
+            phi_t1 = self.encoder.forward_rows(nn.Tensor(inputs["next_states"]))
+            x = nn.concat([phi_t, nn.Tensor(inputs["actions"])], axis=1)
             x = F.linear_rows(x, hidden.weight, hidden.bias).relu()
             diff = F.linear_rows(x, out.weight, out.bias) - phi_t1
             return self.eta * (diff * diff).sum(axis=1).data
 
-    def loss(self, batch: TransitionBatch) -> nn.Tensor:
-        states, next_states = self._require_states(batch)
-        forward_loss = self._forward_errors(batch).mean()
+    def loss_program(self, inputs: Dict[str, np.ndarray]) -> Dict[str, nn.Tensor]:
+        states = nn.Tensor(inputs["states"])
+        next_states = nn.Tensor(inputs["next_states"])
+        # Forward loss trains the forward model on frozen encodings.
+        phi_t = self.encoder(states)
+        phi_t1 = self.encoder(next_states).detach()
+        predicted = self.forward_net(
+            nn.concat([phi_t.detach(), nn.Tensor(inputs["actions"])], axis=1)
+        )
+        diff = predicted - phi_t1
+        forward_loss = (diff * diff).sum(axis=1).mean()
 
         # Inverse loss trains the encoder: predict each worker's move.
-        phi_t = self.encoder(nn.Tensor(states))
-        phi_t1 = self.encoder(nn.Tensor(next_states))
+        phi_t = self.encoder(states)
+        phi_t1 = self.encoder(next_states)
         logits = self.inverse_net(nn.concat([phi_t, phi_t1], axis=1))
         inverse_loss = None
         for w in range(self.num_workers):
             worker_logits = logits[:, w * NUM_MOVES : (w + 1) * NUM_MOVES]
-            term = F.cross_entropy(worker_logits, batch.moves[:, w])
+            term = F.cross_entropy(worker_logits, inputs["moves"][:, w])
             inverse_loss = term if inverse_loss is None else inverse_loss + term
         inverse_loss = inverse_loss * (1.0 / self.num_workers)
 
-        return (
+        loss = (
             forward_loss * self.forward_weight
             + inverse_loss * (1.0 - self.forward_weight)
         )
+        return {"loss": loss}
 
     def parameters(self) -> List[nn.Parameter]:
         """Encoder + forward + inverse model parameters."""

@@ -47,28 +47,23 @@ class RNDCuriosity(CuriosityModule):
             channels, grid, feature_dim=feature_dim, rng=predictor_rng
         )
 
-    @staticmethod
-    def _next_states(batch: TransitionBatch) -> nn.Tensor:
+    def loss_inputs(self, batch: TransitionBatch) -> Dict[str, np.ndarray]:
         if batch.next_states is None:
             raise ValueError("RNDCuriosity needs next_states in the TransitionBatch")
-        return nn.Tensor(np.asarray(batch.next_states))
-
-    def _errors(self, batch: TransitionBatch) -> nn.Tensor:
-        states = self._next_states(batch)
-        target = self.target(states).detach()
-        predicted = self.predictor(states)
-        diff = predicted - target
-        return (diff * diff).sum(axis=1)
+        return {"next_states": np.asarray(batch.next_states)}
 
     def intrinsic_reward(self, batch: TransitionBatch) -> np.ndarray:
-        """:meth:`_errors` scaled by ``η``, untaped and row-invariant."""
-        states = self._next_states(batch)
+        """The predictor's squared error scaled by ``η``, untaped and row-invariant."""
+        states = nn.Tensor(self.loss_inputs(batch)["next_states"])
         with nn.no_grad():
             diff = self.predictor.forward_rows(states) - self.target.forward_rows(states)
             return self.eta * (diff * diff).sum(axis=1).data
 
-    def loss(self, batch: TransitionBatch) -> nn.Tensor:
-        return self._errors(batch).mean()
+    def loss_program(self, inputs: Dict[str, np.ndarray]) -> Dict[str, nn.Tensor]:
+        states = nn.Tensor(inputs["next_states"])
+        target = self.target(states).detach()
+        diff = self.predictor(states) - target
+        return {"loss": (diff * diff).sum(axis=1).mean()}
 
     def parameters(self) -> List[nn.Parameter]:
         """Predictor parameters only (the target is frozen)."""

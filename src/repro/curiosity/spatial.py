@@ -23,7 +23,6 @@ forward model trains.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -57,22 +56,23 @@ class ForwardModel(nn.Module):
         self.fc2 = nn.Linear(hidden, hidden, rng=rng)
         self.out = nn.Linear(hidden, feature_dim, rng=rng)
 
-    def _input(self, features: nn.Tensor, moves: np.ndarray) -> nn.Tensor:
+    def one_hot(self, moves: np.ndarray) -> np.ndarray:
+        """(B, num_moves) one-hot encoding of the route decisions ``v_t``."""
         moves = np.asarray(moves, dtype=np.int64).reshape(-1)
         one_hot = np.zeros((len(moves), self.num_moves))
         one_hot[np.arange(len(moves)), moves] = 1.0
-        return nn.concat([features, nn.Tensor(one_hot)], axis=1)
+        return one_hot
 
-    def forward(self, features: nn.Tensor, moves: np.ndarray) -> nn.Tensor:
-        """Predict the next position's feature from (feature, move)."""
-        x = self._input(features, moves)
+    def forward(self, features: nn.Tensor, one_hot: np.ndarray) -> nn.Tensor:
+        """Predict the next position's feature from (feature, one-hot move)."""
+        x = nn.concat([features, nn.Tensor(one_hot)], axis=1)
         x = self.fc1(x).relu()
         x = self.fc2(x).relu()
         return self.out(x)
 
-    def forward_rows(self, features: nn.Tensor, moves: np.ndarray) -> nn.Tensor:
+    def forward_rows(self, features: nn.Tensor, one_hot: np.ndarray) -> nn.Tensor:
         """:meth:`forward` with each row's bits those of a batch of one."""
-        x = self._input(features, moves)
+        x = nn.concat([features, nn.Tensor(one_hot)], axis=1)
         for layer in (self.fc1, self.fc2):
             x = F.linear_rows(x, layer.weight, layer.bias).relu()
         return F.linear_rows(x, self.out.weight, self.out.bias)
@@ -147,45 +147,41 @@ class SpatialCuriosity(CuriosityModule):
             )
         return self._models[worker]
 
-    def _per_worker_errors(self, batch: TransitionBatch, detach: bool):
-        """Forward-model squared errors, one tensor (B,) per worker column."""
-        if self.structure == "independent" and batch.num_workers != len(self._models):
-            raise ValueError(
-                f"batch has {batch.num_workers} workers but the independent "
-                f"structure was built for {len(self._models)}"
-            )
-        errors = []
-        # Detached callers (intrinsic rewards) never backpropagate, so
-        # skip taping the forward pass entirely, and run it row-invariant:
-        # a trajectory scored at once equals its steps scored one by one.
-        grad_ctx = contextlib.nullcontext() if not detach else nn.no_grad()
+    def _squared_errors(self, inputs: Dict[str, np.ndarray], w: int, rows: bool) -> nn.Tensor:
+        """Worker ``w``'s (B,) forward-model squared errors from :meth:`loss_inputs`."""
+        model = self._model_for(w)
+        forward = model.forward_rows if rows else model.forward
+        predicted = forward(nn.Tensor(inputs[f"features{w}"]), inputs[f"one_hot{w}"])
+        diff = predicted - nn.Tensor(inputs[f"targets{w}"])
+        return (diff * diff).sum(axis=1)
+
+    def _per_worker_errors(self, batch: TransitionBatch) -> List[np.ndarray]:
+        """Detached squared errors, one (B,) array per worker.
+
+        Intrinsic rewards never backpropagate, so the forward pass is not
+        taped, and it runs row-invariant: a trajectory scored at once
+        equals its steps scored one by one.
+        """
+        inputs = self.loss_inputs(batch)
         with trace_span(
-            "curiosity.forward_model",
-            workers=batch.num_workers,
-            detach=detach,
-        ), grad_ctx:
-            for w in range(batch.num_workers):
-                model = self._model_for(w)
-                current = self._feature(batch.positions[:, w])
-                target = self._feature(batch.next_positions[:, w])
-                forward = model.forward_rows if detach else model.forward
-                predicted = forward(nn.Tensor(current), batch.moves[:, w])
-                diff = predicted - nn.Tensor(target)
-                per_sample = (diff * diff).sum(axis=1)
-                errors.append(per_sample.data.copy() if detach else per_sample)
-        return errors
+            "curiosity.forward_model", workers=batch.num_workers, detach=True
+        ), nn.no_grad():
+            return [
+                self._squared_errors(inputs, w, rows=True).data.copy()
+                for w in range(batch.num_workers)
+            ]
 
     # ------------------------------------------------------------------
     # CuriosityModule interface
     # ------------------------------------------------------------------
     def intrinsic_reward(self, batch: TransitionBatch) -> np.ndarray:
         """(B,) rewards ``η · mean_w Loss^f`` per timestep, detached."""
-        errors = self._per_worker_errors(batch, detach=True)
+        errors = self._per_worker_errors(batch)
         return self.eta * np.mean(np.stack(errors, axis=1), axis=1)
 
     def per_worker_curiosity(self, batch: TransitionBatch) -> np.ndarray:
         """(B, W) per-worker ``η · Loss^f`` values (Fig. 9 heatmap data)."""
-        errors = self._per_worker_errors(batch, detach=True)
+        errors = self._per_worker_errors(batch)
         return self.eta * np.stack(errors, axis=1)
 
     def raw_errors(self, batch: TransitionBatch) -> np.ndarray:
@@ -194,16 +190,32 @@ class SpatialCuriosity(CuriosityModule):
         Used by the Fig. 9 visualization, which probes curiosity values
         even for agents trained with ``η = 0`` (the DPPO comparison arm).
         """
-        errors = self._per_worker_errors(batch, detach=True)
+        errors = self._per_worker_errors(batch)
         return np.stack(errors, axis=1)
 
-    def loss(self, batch: TransitionBatch) -> nn.Tensor:
-        """Scalar mean forward loss over the batch and all workers (Eqn. 16)."""
-        errors = self._per_worker_errors(batch, detach=False)
+    def loss_inputs(self, batch: TransitionBatch) -> Dict[str, np.ndarray]:
+        """Per-worker ``features<w>``, ``one_hot<w>`` and ``targets<w>`` arrays."""
+        if self.structure == "independent" and batch.num_workers != len(self._models):
+            raise ValueError(
+                f"batch has {batch.num_workers} workers but the independent "
+                f"structure was built for {len(self._models)}"
+            )
+        inputs: Dict[str, np.ndarray] = {}
+        for w in range(batch.num_workers):
+            inputs[f"features{w}"] = self._feature(batch.positions[:, w])
+            inputs[f"one_hot{w}"] = self._model_for(w).one_hot(batch.moves[:, w])
+            inputs[f"targets{w}"] = self._feature(batch.next_positions[:, w])
+        return inputs
+
+    def loss_program(self, inputs: Dict[str, np.ndarray]) -> Dict[str, nn.Tensor]:
+        """Mean forward loss over the batch and all workers (Eqn. 16)."""
+        workers = len(inputs) // 3
+        with trace_span("curiosity.forward_model", workers=workers, detach=False):
+            errors = [self._squared_errors(inputs, w, rows=False) for w in range(workers)]
         total = errors[0].mean()
         for err in errors[1:]:
             total = total + err.mean()
-        return total * (1.0 / len(errors))
+        return {"loss": total * (1.0 / workers)}
 
     def parameters(self) -> List[nn.Parameter]:
         """Forward-model parameters (all structures, concatenated)."""

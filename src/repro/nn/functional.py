@@ -43,34 +43,29 @@ class _KernelPlan:
     """Everything shape-dependent about one (C, H, W, K, stride) im2col.
 
     Historically every ``conv2d``/``max_pool2d``/``avg_pool2d`` call built
-    three fancy-index arrays (``np.repeat``/``np.tile``/``np.arange``) and
-    scattered gradients back with ``np.add.at`` — both dominated the op's
-    runtime at the paper's 8×8-grid scale.  A plan replaces them with:
+    fancy-index arrays (``np.repeat``/``np.tile``/``np.arange``) and
+    scattered gradients back with ``np.add.at``.  A plan, cached per shape
+    key (the batch size is not part of it), replaces both:
 
-    * :meth:`gather` — a zero-copy ``sliding_window_view`` over the padded
-      input, strided, then transposed into the same ``(N, C*K*K, P)``
-      column layout (row ``c*K² + ki*K + kj``, column ``oh*out_w + ow``)
-      the index gather produced.  One subtlety makes this *layout*- and
-      not just *value*-faithful: numpy's mixed slice/advanced indexing
-      materializes the advanced dims first, so the legacy ``cols`` was a
-      non-contiguous ``(N, R, P)`` view over an ``(R, P, N)`` buffer —
-      and a contraction kernel's inner-loop specialization (hence its
-      floating-point accumulation order) can depend on the operand
-      strides.  ``gather`` therefore copies into an ``(R, P, N)`` base
-      and returns the same ``moveaxis`` view, so the downstream
-      contractions see one frozen operand layout;
-    * :meth:`scatter_add` — col2im as ``K²`` strided-slice ``+=`` ops,
-      one per kernel offset, iterated in ``(ki, kj)`` row-major order.
-      ``np.add.at`` accumulates duplicate targets in index order, which
-      for the im2col index arrays is exactly ``(ki, kj)`` row-major per
-      output cell — so the per-cell floating-point accumulation order
-      (and therefore every gradient bit) is preserved.
-
-    Plans are immutable and cached per shape key; construction allocates
-    only a tuple of slice pairs.
+    * :meth:`gather` — one ``np.take`` of a precomputed flat ``(C, H, W)``
+      index (row ``c*K² + ki*K + kj``, column ``oh*out_w + ow``) over the
+      batch-minor ``(C*H*W, N)`` view of the input: a pure copy, so every
+      value is the legacy one.  The *layout* is kept too.  The legacy
+      ``cols`` was a non-contiguous ``(N, R, P)`` view over an ``(R, P,
+      N)`` buffer, and the forward contraction runs numpy's own (non-BLAS)
+      loop on it, whose accumulation order depends on the operand strides;
+      so ``gather`` takes into an ``(R, P, N)`` base and returns the same
+      ``moveaxis`` view;
+    * :meth:`scatter_add` — col2im as ``K²`` strided-slice ``+=`` ops in
+      ``(ki, kj)`` row-major order, the order in which ``np.add.at``
+      accumulated each cell's duplicate targets, into a ``(C, H, W, N)``
+      accumulator that starts at +0.0, so each add's inner loop runs over
+      the contiguous batch rather than an ``out_w`` of two.  Every cell
+      sums the same terms in the same order from the same +0.0, so every
+      gradient bit, signed zeros and NaNs included, is kept.
     """
 
-    __slots__ = ("channels", "kernel", "stride", "out_h", "out_w", "offsets")
+    __slots__ = ("channels", "kernel", "stride", "out_h", "out_w", "offsets", "index")
 
     def __init__(self, channels: int, height: int, width: int, kernel: int, stride: int):
         self.channels = channels
@@ -88,6 +83,10 @@ class _KernelPlan:
             for ki in range(kernel)
             for kj in range(kernel)
         )
+        taps = np.arange(kernel)
+        rows = (np.arange(channels)[:, None, None] * height + taps[:, None]) * width + taps
+        cols = np.arange(self.out_h)[:, None] * (stride * width) + np.arange(self.out_w) * stride
+        self.index = rows.reshape(-1, 1) + cols.reshape(1, -1)
 
     def gather(self, x_data: np.ndarray) -> np.ndarray:
         """im2col: (N, C, H, W) -> (N, C*K*K, out_h*out_w) columns.
@@ -96,35 +95,20 @@ class _KernelPlan:
         viewed as ``(N, R, P)``, matching what fancy indexing produced
         (see the class docstring for why the strides matter).
         """
-        kernel = self.kernel
-        windows = np.lib.stride_tricks.sliding_window_view(
-            x_data, (kernel, kernel), axis=(2, 3)
-        )[:, :, :: self.stride, :: self.stride]
-        # (N, C, oh, ow, ki, kj) -> (C, ki, kj, oh, ow, N); .copy() is the
-        # single copy in the whole gather (an explicit copy, not reshape's
-        # implicit one, so degenerate 1x1-output shapes cannot silently
-        # stay zero-copy views with alien strides).
-        base = windows.transpose(1, 4, 5, 2, 3, 0).copy().reshape(
-            self.channels * kernel * kernel,
-            self.out_h * self.out_w,
-            x_data.shape[0],
-        )
+        base = np.take(x_data.reshape(x_data.shape[0], -1).T, self.index, axis=0)
         return np.moveaxis(base, 2, 0)
 
     def scatter_add(self, grad_cols: np.ndarray, x_data: np.ndarray) -> np.ndarray:
-        """col2im: accumulate (N, C*K*K, P) columns back onto the input grid."""
-        grad_x = np.zeros_like(x_data)
-        windows = grad_cols.reshape(
-            grad_cols.shape[0],
-            self.channels,
-            self.kernel,
-            self.kernel,
-            self.out_h,
-            self.out_w,
+        """col2im: (N, C*K*K, P) columns onto a fresh C-contiguous (N, C, H, W)."""
+        batch = grad_cols.shape[0]
+        kernel = self.kernel
+        windows = grad_cols.reshape(batch, -1).T.copy().reshape(
+            self.channels, kernel, kernel, self.out_h, self.out_w, batch
         )
+        acc = np.zeros(x_data.shape[1:] + (batch,), dtype=x_data.dtype)
         for ki, kj, rows, cols in self.offsets:
-            grad_x[:, :, rows, cols] += windows[:, :, ki, kj]
-        return grad_x
+            acc[:, rows, cols] += windows[:, ki, kj]
+        return np.ascontiguousarray(acc.transpose(3, 0, 1, 2))
 
 
 _PLAN_CACHE: dict = {}
@@ -333,75 +317,89 @@ def layer_norm(
     return normalized
 
 
+def _channel_layer_norm_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float):
+    """:func:`channel_layer_norm` on arrays: ``(out, c, sd, nr)``, i.e. the
+    output plus the centred flat input, the per-sample deviation and the
+    normalized map that :func:`_channel_layer_norm_grad` reads."""
+    batch, channels = x.shape[0], x.shape[1]
+    flat = x.reshape(batch, -1)
+    inv = 1.0 / flat.shape[1]
+    mu = flat.sum(axis=-1, keepdims=True) * inv
+    c = flat - mu
+    var = (c * c).sum(axis=-1, keepdims=True) * inv
+    sd = np.sqrt(var + eps)
+    nr = (c / sd).reshape(x.shape)
+    out = nr * weight.reshape(1, channels, 1, 1)
+    out += bias.reshape(1, channels, 1, 1)
+    return out, c, sd, nr
+
+
+def _channel_layer_norm_grad(
+    grad: np.ndarray, c: np.ndarray, sd: np.ndarray, nr: np.ndarray,
+    weight: np.ndarray, bias_shape: Tuple[int, ...],
+):
+    """``(g_x, g_weight, g_bias)`` of :func:`channel_layer_norm`.
+
+    Each step is the gradient of one node of the historical composition,
+    with the same per-element operations and the same reductions (axes,
+    layout, grouping).  A ``(B, 1)`` term is broadcast inside the
+    elementwise op that consumes it instead of being materialized at
+    ``(B, n)`` first (each element sees the same operands), and the two
+    identical ``sq = c * c`` contributions are one array added to itself.
+    """
+    channels = grad.shape[1]
+    inv = 1.0 / c.shape[1]
+    w_r = weight.reshape(1, channels, 1, 1)
+    # out = nr * w_r + b_r
+    g_bias = _unbroadcast(grad, (1, channels, 1, 1)).reshape(bias_shape)
+    g_weight = _unbroadcast(grad * nr, (1, channels, 1, 1)).reshape(weight.shape)
+    g_nrm = (grad * w_r).reshape(c.shape)
+    # nrm = c / sd; sd = sqrt(var + eps)
+    g_fm = g_nrm / sd
+    g_sd = np.negative(g_nrm)
+    g_sd *= c
+    g_sd /= sd ** 2
+    g_var = _unbroadcast(g_sd, sd.shape) * 0.5 / sd
+    # var = sq.sum() * inv; sq = c * c stages two identical contributions,
+    # added pairwise (not 2 * t: the grouping is part of the contract).
+    g_c = (g_var * inv) * c
+    g_c += g_c
+    # c = flat - mu2 and fm = flat - mu; mu = flat.sum() * inv each.
+    s2 = _unbroadcast(-g_c, sd.shape) * inv
+    s1 = _unbroadcast(-g_fm, sd.shape) * inv
+    # The tape's staging order for the flat input's four children.
+    g_flat = g_fm + s1
+    g_flat += g_c
+    g_flat += s2
+    return g_flat.reshape(grad.shape), g_weight, g_bias
+
+
 def channel_layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Fused layer norm over (C, H, W) of an (N, C, H, W) map.
 
     Fuses the twelve-node composition ``ChannelLayerNorm.forward``
     historically built on the tape — flatten, mean, var (which recomputes
     the mean), center, divide, un-flatten, per-channel affine — into one
-    tape node with raw numpy inside.  At the paper's 8×8-grid scale those
-    twelve nodes were almost entirely per-op Python/tape overhead: the
-    arrays are small, so the composition cost ~35%% of a taped policy
-    forward while doing ~10 flops per element.
-
-    The contract is the same as the fused softmax family's: *bitwise*
-    equivalence, forward and backward.  Forward replays the composed
-    graph's exact numpy op sequence (the variance path's duplicate mean
-    and the ``flat - mu`` recomputation share bits with the primary ones,
-    so each is computed once).  Backward replays every composed op's
-    gradient — including ``sq = c * c`` contributing twice through the
-    tape's staging dict — and folds the four contributions to the
-    flattened input in the tape's reverse-topological staging order
-    ``((g_fm + g_s1) + g_c) + g_s2``, which is what the composed graph's
-    ``grads[id(flat)] = grads[id(flat)] + contribution`` updates produce.
+    tape node with raw numpy inside.  The contract is *bitwise*
+    equivalence with that composition, forward and backward; both
+    directions are array kernels (:func:`_channel_layer_norm_forward`,
+    :func:`_channel_layer_norm_grad`) that the execution plan
+    (:mod:`repro.nn.executor`) calls too.  Forward replays the composed
+    graph's numpy op sequence (the variance path's duplicate mean and the
+    ``flat - mu`` recomputation share bits with the primary ones, so each
+    is computed once).  Backward replays every composed op's gradient and
+    folds the four contributions to the flattened input in the tape's
+    reverse-topological staging order ``((g_fm + g_s1) + g_c) + g_s2``.
     FP addition commutes (only associativity fails), so the order within
     each pairwise add is immaterial; the *grouping* is not.
     """
     if x.ndim != 4:
         raise ValueError(f"channel_layer_norm expects 4-D input, got {x.shape}")
-    batch, channels = x.shape[0], x.shape[1]
-    flat = x.data.reshape(batch, -1)
-    n = flat.shape[-1]
-    inv = 1.0 / n
-    mu = flat.sum(axis=-1, keepdims=True) * inv
-    c = flat - mu
-    sq = c * c
-    var = sq.sum(axis=-1, keepdims=True) * inv
-    sd = np.sqrt(var + eps)
-    nrm = c / sd
-    w_r = weight.data.reshape(1, channels, 1, 1)
-    nr = nrm.reshape(x.shape)
-    data = nr * w_r + bias.data.reshape(1, channels, 1, 1)
+    w_data = weight.data
+    data, c, sd, nr = _channel_layer_norm_forward(x.data, w_data, bias.data, eps)
 
     def backward(grad: np.ndarray):
-        # out = prod + b_r; b_r = bias.reshape(1, C, 1, 1)
-        g_bias = _unbroadcast(grad, (1, channels, 1, 1)).reshape(bias.shape)
-        # prod = nr * w_r; w_r = weight.reshape(1, C, 1, 1)
-        g_nr = grad * w_r
-        g_weight = _unbroadcast(grad * nr, (1, channels, 1, 1)).reshape(weight.shape)
-        # nr = nrm.reshape(x.shape)
-        g_nrm = g_nr.reshape(batch, n)
-        # nrm = fm / sd  (fm shares bits with c)
-        g_fm = g_nrm / sd
-        g_sd = _unbroadcast(-g_nrm * c / (sd ** 2), sd.shape)
-        # sd = ve.sqrt(); ve = var + eps (scalar add: gradient passes through)
-        g_var = g_sd * 0.5 / sd
-        # var = s3 * (1/n); s3 = sq.sum(keepdims)
-        g_sq = np.broadcast_to(g_var * np.asarray(inv), sq.shape).copy()
-        # sq = c * c: the tape stages two identical contributions and adds
-        # them pairwise (not 2*t — the grouping is part of the contract).
-        t1 = g_sq * c
-        t2 = g_sq * c
-        g_c = t1 + t2
-        # c = flat - mu2; mu2 = s2 * (1/n); s2 = flat.sum(keepdims)
-        g_mu2 = _unbroadcast(-g_c, mu.shape)
-        contrib_s2 = np.broadcast_to(g_mu2 * np.asarray(inv), flat.shape).copy()
-        # fm = flat - mu; mu = s1 * (1/n); s1 = flat.sum(keepdims)
-        g_mu = _unbroadcast(-g_fm, mu.shape)
-        contrib_s1 = np.broadcast_to(g_mu * np.asarray(inv), flat.shape).copy()
-        # Tape staging order for the flattened input's four children.
-        g_flat = ((g_fm + contrib_s1) + g_c) + contrib_s2
-        return (g_flat.reshape(x.shape), g_weight, g_bias)
+        return _channel_layer_norm_grad(grad, c, sd, nr, w_data, bias.shape)
 
     # eps is not a closure freevar of ``backward``; the execution plan
     # needs it to rebuild the forward kernel.
@@ -456,6 +454,28 @@ def _shifted_exp(
     return shifted, e, e.sum(axis=axis, keepdims=True)
 
 
+def _softmax_grad(grad: np.ndarray, e: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax backward, replaying the ``e / Σe`` composition's gradient.
+
+    Div pushes ``grad / s`` into ``e`` and the quotient term into ``s``;
+    ``s``'s sum-backward broadcasts back over ``e``; exp scales by ``e``.
+    Staged additions happen in exactly this order.  The tape ops and the
+    execution plan both call it (as they do :func:`_log_softmax_grad`).
+    """
+    a = grad / s
+    v = (-grad * e) / (s ** 2)
+    c = np.broadcast_to(v.sum(axis=axis, keepdims=True), e.shape).copy()
+    return (a + c) * e
+
+
+def _log_softmax_grad(grad: np.ndarray, e: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
+    """Log-softmax backward: ``grad + softmax(x) * Σ(-grad)``, sequenced
+    like the ``shifted - log(Σ exp)`` composition."""
+    gl = (-grad).sum(axis=axis, keepdims=True)
+    t = np.broadcast_to(gl / s, e.shape).copy()
+    return grad + t * e
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` (fused primitive).
 
@@ -468,13 +488,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     out_data = e / s
 
     def backward(grad: np.ndarray):
-        # Composition replay: div pushes grad/s into e and the quotient
-        # term into s; s's sum-backward broadcasts back over e; exp scales
-        # by e.  Staged additions happen in exactly this order.
-        a = grad / s
-        v = (-grad * e) / (s ** 2)
-        c = np.broadcast_to(v.sum(axis=axis, keepdims=True), e.shape).copy()
-        return ((a + c) * e,)
+        return (_softmax_grad(grad, e, s, axis),)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -490,9 +504,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     out_data = shifted - np.log(s)
 
     def backward(grad: np.ndarray):
-        gl = (-grad).sum(axis=axis, keepdims=True)
-        t = np.broadcast_to(gl / s, e.shape).copy()
-        return (grad + t * e,)
+        return (_log_softmax_grad(grad, e, s, axis),)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -554,18 +566,12 @@ def entropy_from_logits(logits: Tensor, axis: int = -1) -> Tensor:
         gmul = np.broadcast_to(
             np.expand_dims(-grad, axis=axis), p.shape
         ).copy()
-        a_p = gmul * logp  # grad into the softmax factor
-        g_logp = gmul * p  # grad into the log-softmax factor
-        # softmax branch (staged first by the composed tape).
-        a2 = a_p / s
-        v2 = (-a_p * e) / (s ** 2)
-        c2 = np.broadcast_to(v2.sum(axis=axis, keepdims=True), e.shape).copy()
-        gx2 = (a2 + c2) * e
-        # log-softmax branch (staged second).
-        gl1 = (-g_logp).sum(axis=axis, keepdims=True)
-        t1 = np.broadcast_to(gl1 / s, e.shape).copy()
-        gx1 = g_logp + t1 * e
-        return (gx2, gx1)
+        # The softmax branch is staged first by the composed tape, then
+        # the log-softmax branch.
+        return (
+            _softmax_grad(gmul * logp, e, s, axis),
+            _log_softmax_grad(gmul * p, e, s, axis),
+        )
 
     return Tensor._make(out_data, (logits, logits), backward)
 

@@ -236,3 +236,71 @@ class TestArenaEscapeSafety:
             assert any(
                 a.tobytes() != b.tobytes() for a, b in zip(held, previous)
             ), "the two minibatches must differ for the check to bite"
+
+
+def _program_with_a_stale_closure(weight):
+    """A program whose one custom op claims the ``softmax`` builder but
+    whose backward closure captures no ``axis`` — the shape of a kernel
+    builder that outlived a change to the op it transcribes."""
+
+    def program(inputs):
+        x = nn.Tensor(inputs["x"]) * weight
+        data = np.exp(x.data)
+
+        def backward(grad):
+            return (grad * data,)
+
+        backward.__qualname__ = "softmax.<locals>.backward"
+        y = nn.Tensor._make(data, (x,), backward)
+        return {"loss": y.sum(), "y": y}
+
+    return program
+
+
+class TestMissingClosureVariable:
+    def test_missing_freevar_retires_the_signature_to_the_tape(self):
+        rng = np.random.default_rng(0)
+        weight = nn.Parameter(rng.normal(size=(3, 4)))
+        program = _program_with_a_stale_closure(weight)
+        inputs = {"x": rng.normal(size=(3, 4))}
+
+        outs = program(inputs)
+        outs["loss"].backward()
+        ref_outs = {name: t.data.copy() for name, t in outs.items()}
+        ref_grad = weight.grad.copy()
+
+        planner = nn.Planner(program, name="stale")
+        for step in range(2):
+            weight.grad = None
+            got = planner.step(inputs)
+            assert planner.last_path == "tape"
+            assert set(got) == set(ref_outs)
+            for name, want in ref_outs.items():
+                assert got[name].tobytes() == want.tobytes()
+            assert weight.grad.tobytes() == ref_grad.tobytes()
+            if step == 0:
+                assert "softmax" in planner.last_reason
+                assert "'axis'" in planner.last_reason
+        assert planner.last_reason == "signature retired to tape"
+        assert planner.stats["unsupported"] == 1
+        assert planner.stats["tape_runs"] == 2
+        assert planner.stats["plan_runs"] == 0
+
+
+class TestSizeOneInputViews:
+    def test_a_one_element_view_of_an_input_is_not_baked(self):
+        """A minibatch of one row and one worker makes ``moves.reshape(-1)``
+        a one-element view of an input.  It changes every call, so the
+        plan must read it from the input, not keep the capture's value."""
+        weight = nn.Parameter(np.ones((1, 3)))
+
+        def program(inputs):
+            picked = (weight * 1.0)[np.zeros(1, dtype=np.int64), inputs["moves"].reshape(-1)]
+            return {"loss": picked.sum()}
+
+        planner = nn.Planner(program, name="one-row")
+        for move in (0, 2, 1):
+            weight.grad = None
+            planner.step({"moves": np.array([[move]], dtype=np.int64)})
+            assert planner.last_path == "plan", planner.last_reason
+            assert weight.grad.tolist() == [[float(i == move) for i in range(3)]]

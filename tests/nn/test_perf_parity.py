@@ -1,7 +1,8 @@
 """Parity gates for the optimized hot paths in :mod:`repro.nn.functional`.
 
-The PR-4 optimizations (cached kernel plans with ``sliding_window_view``
-gathers and strided col2im, the fused softmax family, ``no_grad`` tape
+The optimizations (cached kernel plans whose im2col is one ``np.take`` of
+a precomputed flat index and whose col2im is ``K²`` batch-minor strided
+adds, the fused softmax family and channel layer norm, ``no_grad`` tape
 elision) all promise *bitwise* equivalence with the code they replaced.
 These tests pin that promise three ways:
 
@@ -50,6 +51,21 @@ def legacy_scatter(grad_cols, x_data, kernel, stride):
     return grad_x
 
 
+def strided_scatter(grad_cols, x_data, kernel, stride):
+    """The previous col2im: K² strided ``+=`` straight onto (N, C, H, W)."""
+    batch, channels, height, width = x_data.shape
+    out_h = (height - kernel) // stride + 1
+    out_w = (width - kernel) // stride + 1
+    grad_x = np.zeros_like(x_data)
+    windows = grad_cols.reshape(batch, channels, kernel, kernel, out_h, out_w)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            grad_x[
+                :, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride
+            ] += windows[:, :, ki, kj]
+    return grad_x
+
+
 def naive_conv2d(x, weight, bias=None, stride=1, padding=0):
     """Reference cross-correlation: explicit loops, no im2col."""
     batch, in_channels, height, width = x.shape
@@ -81,6 +97,22 @@ SWEEP = [
     for padding in (0, 1, 2)
     for spatial in ((6, 6), (7, 9), (5, 8))
 ]
+
+# (channels, padded side, stride) of the CNN trunk's three 3x3 convs on
+# the 8x8 grid, at a single row and at the smoke minibatch size.
+TRUNK = [(3, 10, 1), (8, 10, 2), (16, 6, 2)]
+TRUNK_SWEEP = [(batch,) + shape for batch in (1, 40) for shape in TRUNK]
+
+
+def with_specials(values, rng):
+    """``values`` with about a third of its entries replaced by -0.0, +inf,
+    -inf or NaN, and one whole row of -0.0."""
+    values = values.copy()
+    specials = np.array([-0.0, np.inf, -np.inf, np.nan])
+    mask = rng.random(values.shape) < 0.3
+    values[mask] = rng.choice(specials, size=int(mask.sum()))
+    values[:, 0] = -0.0
+    return values
 
 
 class TestConv2dSweep:
@@ -124,6 +156,37 @@ class TestConv2dSweep:
         new = plan.scatter_add(grad_cols, x)
         old = legacy_scatter(grad_cols, x, 3, stride)
         assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("batch,channels,side,stride", TRUNK_SWEEP)
+    def test_trunk_gather_bitwise_with_legacy_strides(self, batch, channels, side, stride):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(batch, channels, side, side))
+        plan = _plan_for(x.shape, 3, stride)
+        new = plan.gather(x)
+        old = legacy_gather(x, 3, stride)
+        assert new.tobytes() == old.tobytes()
+        assert new.strides == old.strides
+
+    @pytest.mark.parametrize("batch,channels,side,stride", TRUNK_SWEEP)
+    def test_trunk_scatter_bitwise_with_special_values(self, batch, channels, side, stride):
+        rng = np.random.default_rng(19)
+        x = np.zeros((batch, channels, side, side))
+        plan = _plan_for(x.shape, 3, stride)
+        grad_cols = with_specials(
+            rng.normal(size=(batch, channels * 9, plan.out_h * plan.out_w)), rng
+        )
+        with np.errstate(invalid="ignore"):
+            new = plan.scatter_add(grad_cols, x)
+            previous = strided_scatter(grad_cols, x, 3, stride)
+            old = legacy_scatter(grad_cols, x, 3, stride)
+        assert new.flags.c_contiguous
+        assert new.shape == x.shape
+        assert new.tobytes() == previous.tobytes()
+        # np.add.at sums the same terms in the same order; only which NaN
+        # survives where two NaNs of opposite sign meet may differ from it.
+        nan = np.isnan(old)
+        assert np.array_equal(np.isnan(new), nan)
+        assert new[~nan].tobytes() == old[~nan].tobytes()
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 2)])
     def test_gradients_match_finite_differences(self, stride, padding):
@@ -439,7 +502,11 @@ class TestFusedChannelLayerNorm:
     twelve-node composition it replaced — forward and gradients, with the
     input both as a leaf and as an interior (conv-output-like) node."""
 
-    SHAPES = [(8, 8, 8, 8), (16, 16, 4, 4), (3, 16, 5, 7), (1, 8, 2, 2)]
+    SHAPES = [(8, 8, 8, 8), (16, 16, 4, 4), (3, 16, 5, 7), (1, 8, 2, 2)] + [
+        (batch,) + trunk
+        for batch in (40, 1)
+        for trunk in ((8, 8, 8), (16, 4, 4), (16, 2, 2))
+    ]
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_forward_bitwise(self, shape):
@@ -482,6 +549,62 @@ class TestFusedChannelLayerNorm:
             results.append((y.grad.copy(), w.grad.copy(), b.grad.copy()))
         for got, want in zip(results[0], results[1]):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(40, 16, 4, 4), (1, 8, 8, 8)])
+    def test_backward_bitwise_with_negative_zero_downstream(self, shape):
+        rng = np.random.default_rng(23)
+        channels = shape[1]
+        y_data = rng.normal(size=shape)
+        w_data = rng.normal(size=channels) + 1.0
+        b_data = rng.normal(size=channels)
+        downstream = rng.normal(size=shape)
+        downstream[rng.random(shape) < 0.5] = -0.0
+        downstream[0, 0] = -0.0
+
+        results = []
+        for fn in (
+            lambda x, w, b: F.channel_layer_norm(x, w, b),
+            composed_channel_layer_norm,
+        ):
+            y = Tensor(y_data.copy(), requires_grad=True)
+            w = Tensor(w_data.copy(), requires_grad=True)
+            b = Tensor(b_data.copy(), requires_grad=True)
+            out = fn(y * 1.0, w, b)
+            out.backward(downstream)
+            results.append((y.grad.copy(), w.grad.copy(), b.grad.copy()))
+        for got, want in zip(results[0], results[1]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_plan_kernel_and_tape_op_share_one_grad(self, monkeypatch):
+        """The tape op's backward and the execution plan's layer-norm
+        record both run ``functional._channel_layer_norm_grad``."""
+        calls = []
+        original = F._channel_layer_norm_grad
+
+        def counting(*args):
+            calls.append(len(args))
+            return original(*args)
+
+        monkeypatch.setattr(F, "_channel_layer_norm_grad", counting)
+        rng = np.random.default_rng(29)
+        scale = nn.Parameter(rng.normal(size=(1, 8, 1, 1)))
+        weight = nn.Parameter(rng.normal(size=8) + 1.0)
+        bias = nn.Parameter(rng.normal(size=8))
+        downstream = rng.normal(size=(4, 8, 3, 3))
+
+        def program(inputs):
+            out = F.channel_layer_norm(Tensor(inputs["x"]) * scale, weight, bias)
+            return {"loss": (out * Tensor(inputs["downstream"])).sum()}
+
+        planner = nn.Planner(program, name="layer-norm")
+        inputs = {"x": rng.normal(size=(4, 8, 3, 3)), "downstream": downstream}
+        for __ in range(2):
+            for p in (scale, weight, bias):
+                p.grad = None
+            planner.step(inputs)
+            assert planner.last_path == "plan", planner.last_reason
+        # Build: one tape backward, one validating replay; then one replay.
+        assert len(calls) == 3
 
     def test_module_uses_fused_op(self):
         norm = nn.ChannelLayerNorm(8)
