@@ -11,9 +11,12 @@ every gradient accumulated during ``backward()`` is checked:
 * **SAN003** — non-finite gradients reaching a leaf during the backward
   pass;
 * a **backward-graph leak detector**: interior nodes that still retain
-  their ``_backward`` closures (and therefore their whole parent
+  their op entry and saved values (and therefore their whole parent
   subgraph) after ``backward()`` completed are surfaced by
   :meth:`Sanitizer.leak_report`.
+
+Op names come from the registry entry ``Tensor._make`` receives
+(``Op.name``: ``__add__``, ``conv2d``, ...).
 
 Cost model: the checks are installed by *monkey-patching* three
 ``Tensor`` methods on :func:`Sanitizer.enable` and fully restored on
@@ -86,17 +89,6 @@ class SanitizerError(RuntimeError):
         self.finding = finding
         self.op = finding.op
         self.module = finding.module
-
-
-def _op_name(backward) -> str:
-    """Autograd op name from the backward closure's qualname.
-
-    ``Tensor.__add__.<locals>.backward`` -> ``__add__``;
-    ``conv2d.<locals>.backward`` -> ``conv2d``.
-    """
-    qualname = getattr(backward, "__qualname__", "")
-    head = qualname.split(".<locals>", 1)[0]
-    return head.rsplit(".", 1)[-1] if head else "<unknown-op>"
 
 
 def _caller_module() -> str:
@@ -183,13 +175,12 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # Checks
     # ------------------------------------------------------------------
-    def _check_output(self, out: Tensor, backward) -> None:
+    def _check_output(self, out: Tensor, op: str) -> None:
         data = out.data
         self.stats.ops_checked += 1
         needs_provenance = self.track_leaks or self.check_dtype or self.check_finite
         if not needs_provenance:
             return
-        op = _op_name(backward)
         if self.check_dtype and data.dtype != _EXPECTED_DTYPE:
             module = _caller_module()
             self._emit(
@@ -222,7 +213,7 @@ class Sanitizer:
                         ),
                     )
                 )
-        if self.track_leaks and out._backward is not None:
+        if self.track_leaks and out._op is not None:
             self._origin[out] = (op, _caller_module())
 
     def _check_grad(self, tensor: Tensor, grad: np.ndarray) -> None:
@@ -254,7 +245,7 @@ class Sanitizer:
             if id(node) in seen:
                 continue
             seen.add(id(node))
-            if node._backward is not None:
+            if node._op is not None:
                 self._watched.append(weakref.ref(node))
             stack.extend(node._parents)
 
@@ -262,10 +253,10 @@ class Sanitizer:
     # Leak report
     # ------------------------------------------------------------------
     def leak_report(self) -> List[Dict[str, str]]:
-        """Interior nodes still retaining closures after their backward().
+        """Interior nodes still retaining their op after their backward().
 
         An interior node that survives its own ``backward()`` keeps its
-        ``_backward`` closure and through it the entire parent subgraph —
+        ``_op``/``_saved`` and through ``_parents`` the entire subgraph —
         the classic "accidentally stored the loss tensor" leak.  Returns
         one entry per leaked node with its op/module provenance.
         """
@@ -277,7 +268,7 @@ class Sanitizer:
             if node is None:
                 continue
             alive.append(ref)
-            if node._backward is None:
+            if node._op is None:
                 continue
             op, module = self._origin.get(node, ("<unknown-op>", "<unknown>"))
             leaks.append(
@@ -309,9 +300,9 @@ class Sanitizer:
         orig_backward = self._orig_backward
         sanitizer = self
 
-        def make_checked(data, parents, backward):
-            out = orig_make(data, parents, backward)
-            sanitizer._check_output(out, backward)
+        def make_checked(op, parents, **attrs):
+            out = orig_make(op, parents, **attrs)
+            sanitizer._check_output(out, op.name)
             return out
 
         def accumulate_checked(tensor, grad):

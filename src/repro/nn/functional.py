@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast, ensure_tensor, where
+from .tensor import Op, Tensor, _unbroadcast, ensure_tensor, where
 
 __all__ = [
     "conv2d",
@@ -139,10 +139,9 @@ def _conv_forward_contract(w_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Forward contraction ``(O, R) x (N, R, P) -> (N, O, P)``.
 
     These three contraction kernels are the frozen floating-point
-    identity of ``conv2d``: the execution-plan replay
-    (:mod:`repro.nn.executor`) calls the same functions on the same
-    operand layouts, which is what keeps the fast path bit-identical to
-    the tape.  ``matmul``/``tensordot`` route through BLAS; the legacy
+    identity of ``conv2d``: its registry entry calls them, and the tape
+    and the execution plan (:mod:`repro.nn.executor`) both run that
+    entry.  ``matmul``/``tensordot`` route through BLAS; the legacy
     ``einsum`` spellings ran the contractions in numpy's own inner loop
     at roughly half the throughput (this re-freeze changed the low-order
     bits once, version-to-version — run-vs-run equivalence across
@@ -185,93 +184,97 @@ def conv2d(
         )
 
     x_padded = x.pad2d(padding)
-    batch, __, height, width = x_padded.shape
+    __, __, height, width = x_padded.shape
     if height < kernel or width < kernel:
         raise ValueError(
             f"spatial size {(height, width)} smaller than kernel {kernel}"
         )
     plan = _plan_for(x_padded.shape, kernel, stride)
-    out_h, out_w = plan.out_h, plan.out_w
-    x_data = x_padded.data
-
-    # cols: (N, C*K*K, out_h*out_w), gathered via the cached plan.
-    cols = plan.gather(x_data)
-    w_flat = weight.data.reshape(out_channels, -1)
-
-    out_data = _conv_forward_contract(w_flat, cols)
-    out_data = out_data.reshape(batch, out_channels, out_h, out_w)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, -1, 1, 1)
-
     parents = (x_padded, weight) if bias is None else (x_padded, weight, bias)
+    return Tensor._make(CONV2D, parents, plan=plan)
 
-    def backward(grad: np.ndarray):
-        # grad: (N, O, out_h, out_w) -> (N, O, P)
-        grad_flat = grad.reshape(batch, out_channels, -1)
-        grad_w = _conv_grad_weight(grad_flat, cols).reshape(weight.shape)
-        grad_cols = _conv_grad_cols(w_flat, grad_flat)
-        # col2im via order-preserving strided adds (see _KernelPlan).
-        grad_x = plan.scatter_add(grad_cols, x_data)
-        if bias is None:
-            return grad_x, grad_w
-        grad_b = grad.sum(axis=(0, 2, 3))
-        return grad_x, grad_w, grad_b
 
-    return Tensor._make(out_data, parents, backward)
+def _conv2d(x, w, *bias, plan):
+    # cols: (N, C*K*K, out_h*out_w), gathered via the cached plan.
+    cols = plan.gather(x)
+    w_flat = w.reshape(w.shape[0], -1)
+    out = _conv_forward_contract(w_flat, cols)
+    out = out.reshape(x.shape[0], w.shape[0], plan.out_h, plan.out_w)
+    if bias:
+        out = out + bias[0].reshape(1, -1, 1, 1)
+    return out, (x, w.shape, cols, w_flat, plan)
+
+
+def _conv2d_grad(grad, saved, needed):
+    x, w_shape, cols, w_flat, plan = saved
+    # grad: (N, O, out_h, out_w) -> (N, O, P)
+    grad_flat = grad.reshape(x.shape[0], w_shape[0], -1)
+    return (
+        # col2im via order-preserving strided adds (see _KernelPlan);
+        # elided entirely when the input does not require grad (conv1).
+        plan.scatter_add(_conv_grad_cols(w_flat, grad_flat), x) if 0 in needed else None,
+        _conv_grad_weight(grad_flat, cols).reshape(w_shape) if 1 in needed else None,
+        grad.sum(axis=(0, 2, 3)) if 2 in needed else None,
+    )
+
+
+CONV2D = Op("conv2d", _conv2d, _conv2d_grad)
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     """Max pooling over non-overlapping (or strided) windows of a 4-D input."""
-    stride = stride or kernel
-    batch, channels, height, width = x.shape
-    plan = _plan_for(x.shape, kernel, stride)
-    out_h, out_w = plan.out_h, plan.out_w
+    return Tensor._make(MAX_POOL2D, (x,), plan=_plan_for(x.shape, kernel, stride or kernel))
 
-    cols = plan.gather(x.data)  # (N, C*K*K, P)
-    cols = cols.reshape(batch, channels, kernel * kernel, out_h * out_w)
+
+def _max_pool2d(x, plan):
+    batch, channels = x.shape[:2]
+    cols = plan.gather(x)  # (N, C*K*K, P)
+    cols = cols.reshape(batch, channels, plan.kernel * plan.kernel, plan.out_h * plan.out_w)
     argmax = cols.argmax(axis=2)
-    out_data = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).squeeze(2)
-    out_data = out_data.reshape(batch, channels, out_h, out_w)
+    out = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).squeeze(2)
+    return out.reshape(batch, channels, plan.out_h, plan.out_w), (x, argmax, plan)
 
-    def backward(grad: np.ndarray):
-        grad_cols = np.zeros(
-            (batch, channels, kernel * kernel, out_h * out_w), dtype=grad.dtype
-        )
-        np.put_along_axis(
-            grad_cols,
-            argmax[:, :, None, :],
-            grad.reshape(batch, channels, 1, -1),
-            axis=2,
-        )
-        grad_cols = grad_cols.reshape(batch, channels * kernel * kernel, -1)
-        return (plan.scatter_add(grad_cols, x.data),)
 
-    return Tensor._make(out_data, (x,), backward)
+def _max_pool2d_grad(grad, saved, needed):
+    x, argmax, plan = saved
+    batch, channels = x.shape[:2]
+    window = plan.kernel * plan.kernel
+    grad_cols = np.zeros((batch, channels, window, plan.out_h * plan.out_w), dtype=grad.dtype)
+    np.put_along_axis(
+        grad_cols, argmax[:, :, None, :], grad.reshape(batch, channels, 1, -1), axis=2
+    )
+    grad_cols = grad_cols.reshape(batch, channels * window, -1)
+    return (plan.scatter_add(grad_cols, x),)
+
+
+MAX_POOL2D = Op("max_pool2d", _max_pool2d, _max_pool2d_grad)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     """Average pooling over windows of a 4-D input."""
-    stride = stride or kernel
-    batch, channels, height, width = x.shape
-    plan = _plan_for(x.shape, kernel, stride)
-    out_h, out_w = plan.out_h, plan.out_w
-    window = kernel * kernel
+    return Tensor._make(AVG_POOL2D, (x,), plan=_plan_for(x.shape, kernel, stride or kernel))
 
-    cols = plan.gather(x.data)
-    cols = cols.reshape(batch, channels, window, out_h * out_w)
-    out_data = cols.mean(axis=2).reshape(batch, channels, out_h, out_w)
 
-    def backward(grad: np.ndarray):
-        # Every window slot receives grad/K²; instead of materializing the
-        # K²-fold np.repeat the old col2im needed, add the scaled grad once
-        # per kernel offset — identical per-cell accumulation order.
-        scaled = grad / window
-        grad_x = np.zeros_like(x.data)
-        for __, __, rows, cols_ in plan.offsets:
-            grad_x[:, :, rows, cols_] += scaled
-        return (grad_x,)
+def _avg_pool2d(x, plan):
+    batch, channels = x.shape[:2]
+    cols = plan.gather(x)
+    cols = cols.reshape(batch, channels, plan.kernel * plan.kernel, plan.out_h * plan.out_w)
+    return cols.mean(axis=2).reshape(batch, channels, plan.out_h, plan.out_w), (x, plan)
 
-    return Tensor._make(out_data, (x,), backward)
+
+def _avg_pool2d_grad(grad, saved, needed):
+    x, plan = saved
+    # Every window slot receives grad/K²; instead of materializing the
+    # K²-fold np.repeat the old col2im needed, add the scaled grad once
+    # per kernel offset — identical per-cell accumulation order.
+    scaled = grad / (plan.kernel * plan.kernel)
+    grad_x = np.zeros_like(x)
+    for __, __, rows, cols in plan.offsets:
+        grad_x[:, :, rows, cols] += scaled
+    return (grad_x,)
+
+
+AVG_POOL2D = Op("avg_pool2d", _avg_pool2d, _avg_pool2d_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +321,10 @@ def layer_norm(
 
 
 def _channel_layer_norm_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float):
-    """:func:`channel_layer_norm` on arrays: ``(out, c, sd, nr)``, i.e. the
-    output plus the centred flat input, the per-sample deviation and the
-    normalized map that :func:`_channel_layer_norm_grad` reads."""
+    """:func:`channel_layer_norm`'s forward: ``(out, saved)``, where
+    ``saved`` is what :func:`_channel_layer_norm_grad` reads after the
+    gradient: the centred flat input, the per-sample deviation, the
+    normalized map, the weight and the bias shape."""
     batch, channels = x.shape[0], x.shape[1]
     flat = x.reshape(batch, -1)
     inv = 1.0 / flat.shape[1]
@@ -331,7 +335,7 @@ def _channel_layer_norm_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndar
     nr = (c / sd).reshape(x.shape)
     out = nr * weight.reshape(1, channels, 1, 1)
     out += bias.reshape(1, channels, 1, 1)
-    return out, c, sd, nr
+    return out, (c, sd, nr, weight, bias.shape)
 
 
 def _channel_layer_norm_grad(
@@ -383,8 +387,8 @@ def channel_layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-
     tape node with raw numpy inside.  The contract is *bitwise*
     equivalence with that composition, forward and backward; both
     directions are array kernels (:func:`_channel_layer_norm_forward`,
-    :func:`_channel_layer_norm_grad`) that the execution plan
-    (:mod:`repro.nn.executor`) calls too.  Forward replays the composed
+    :func:`_channel_layer_norm_grad`) behind the op's registry entry, which
+    the tape and the execution plan both run.  Forward replays the composed
     graph's numpy op sequence (the variance path's duplicate mean and the
     ``flat - mu`` recomputation share bits with the primary ones, so each
     is computed once).  Backward replays every composed op's gradient and
@@ -395,16 +399,16 @@ def channel_layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-
     """
     if x.ndim != 4:
         raise ValueError(f"channel_layer_norm expects 4-D input, got {x.shape}")
-    w_data = weight.data
-    data, c, sd, nr = _channel_layer_norm_forward(x.data, w_data, bias.data, eps)
+    return Tensor._make(CHANNEL_LAYER_NORM, (x, weight, bias), eps=eps)
 
-    def backward(grad: np.ndarray):
-        return _channel_layer_norm_grad(grad, c, sd, nr, w_data, bias.shape)
 
-    # eps is not a closure freevar of ``backward``; the execution plan
-    # needs it to rebuild the forward kernel.
-    backward._plan_consts = (eps,)
-    return Tensor._make(data, (x, weight, bias), backward)
+# The grad is looked up at call time, so a wrapper around the module-level
+# ``_channel_layer_norm_grad`` sees every call, taped or planned.
+CHANNEL_LAYER_NORM = Op(
+    "channel_layer_norm",
+    _channel_layer_norm_forward,
+    lambda grad, saved, needed: _channel_layer_norm_grad(grad, *saved),
+)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -414,16 +418,18 @@ def softplus(x: Tensor) -> Tensor:
     ``maximum``-based composition) so the gradient is smooth at 0, where
     freshly initialized policy logits live.
     """
-    data = np.logaddexp(0.0, x.data)
+    return Tensor._make(SOFTPLUS, (x,))
+
+
+def _softplus_grad(grad, x, needed):
     # exp may overflow to inf for very negative inputs; 1/(1+inf) = 0 is
     # exactly the right limit, so only the warning needs suppressing.
     with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-x.data))
+        sig = 1.0 / (1.0 + np.exp(-x))
+    return (grad * sig,)
 
-    def backward(grad: np.ndarray):
-        return (grad * sig,)
 
-    return Tensor._make(data, (x,), backward)
+SOFTPLUS = Op("softplus", lambda x: (np.logaddexp(0.0, x), x), _softplus_grad)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -459,8 +465,8 @@ def _softmax_grad(grad: np.ndarray, e: np.ndarray, s: np.ndarray, axis: int) -> 
 
     Div pushes ``grad / s`` into ``e`` and the quotient term into ``s``;
     ``s``'s sum-backward broadcasts back over ``e``; exp scales by ``e``.
-    Staged additions happen in exactly this order.  The tape ops and the
-    execution plan both call it (as they do :func:`_log_softmax_grad`).
+    Staged additions happen in exactly this order.  The softmax and
+    entropy entries call it (as they do :func:`_log_softmax_grad`).
     """
     a = grad / s
     v = (-grad * e) / (s ** 2)
@@ -479,18 +485,28 @@ def _log_softmax_grad(grad: np.ndarray, e: np.ndarray, s: np.ndarray, axis: int)
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` (fused primitive).
 
-    The backward closure replays, operation for operation, the gradient
-    the old ``exp / exp.sum()`` tensor composition produced — same
-    intermediate arrays, same accumulation order — so fusing is bitwise
-    invisible to training.
+    The backward replays, operation for operation, the gradient the old
+    ``exp / exp.sum()`` tensor composition produced — same intermediate
+    arrays, same accumulation order — so fusing is bitwise invisible to
+    training.
     """
-    __, e, s = _shifted_exp(x.data, axis)
-    out_data = e / s
+    return Tensor._make(SOFTMAX, (x,), axis=axis)
 
-    def backward(grad: np.ndarray):
-        return (_softmax_grad(grad, e, s, axis),)
 
-    return Tensor._make(out_data, (x,), backward)
+def _softmax(x, axis):
+    __, e, s = _shifted_exp(x, axis)
+    return e / s, (e, s, axis)
+
+
+def _log_softmax(x, axis):
+    shifted, e, s = _shifted_exp(x, axis)
+    return shifted - np.log(s), (e, s, axis)
+
+
+SOFTMAX = Op("softmax", _softmax, lambda grad, saved, needed: (_softmax_grad(grad, *saved),))
+LOG_SOFTMAX = Op(
+    "log_softmax", _log_softmax, lambda grad, saved, needed: (_log_softmax_grad(grad, *saved),)
+)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -500,13 +516,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     closed-form backward ``grad + softmax(x) * Σ(-grad)`` sequenced to
     match the historical ``shifted - log(Σ exp)`` composition bitwise.
     """
-    shifted, e, s = _shifted_exp(x.data, axis)
-    out_data = shifted - np.log(s)
-
-    def backward(grad: np.ndarray):
-        return (_log_softmax_grad(grad, e, s, axis),)
-
-    return Tensor._make(out_data, (x,), backward)
+    return Tensor._make(LOG_SOFTMAX, (x,), axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -557,23 +567,30 @@ def entropy_from_logits(logits: Tensor, axis: int = -1) -> Tensor:
     twice and returning the branch gradients separately reproduces the
     exact staging order of the composition.
     """
-    shifted, e, s = _shifted_exp(logits.data, axis)
+    return Tensor._make(ENTROPY_FROM_LOGITS, (logits, logits), axis=axis)
+
+
+def _entropy_from_logits(x, __, axis):
+    shifted, e, s = _shifted_exp(x, axis)
     logp = shifted - np.log(s)
     p = e / s
-    out_data = -(p * logp).sum(axis=axis)
+    return -(p * logp).sum(axis=axis), (e, s, logp, p, axis)
 
-    def backward(grad: np.ndarray):
-        gmul = np.broadcast_to(
-            np.expand_dims(-grad, axis=axis), p.shape
-        ).copy()
-        # The softmax branch is staged first by the composed tape, then
-        # the log-softmax branch.
-        return (
-            _softmax_grad(gmul * logp, e, s, axis),
-            _log_softmax_grad(gmul * p, e, s, axis),
-        )
 
-    return Tensor._make(out_data, (logits, logits), backward)
+def _entropy_from_logits_grad(grad, saved, needed):
+    e, s, logp, p, axis = saved
+    gmul = np.broadcast_to(np.expand_dims(-grad, axis=axis), p.shape).copy()
+    # The softmax branch is staged first by the composed tape, then
+    # the log-softmax branch.
+    return (
+        _softmax_grad(gmul * logp, e, s, axis) if 0 in needed else None,
+        _log_softmax_grad(gmul * p, e, s, axis) if 1 in needed else None,
+    )
+
+
+ENTROPY_FROM_LOGITS = Op(
+    "entropy_from_logits", _entropy_from_logits, _entropy_from_logits_grad
+)
 
 
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
@@ -604,8 +621,9 @@ def dropout(
     if not training or p == 0.0:
         return x
     keep = (rng.random(x.shape) >= p) / (1.0 - p)
+    return Tensor._make(DROPOUT, (x,), keep=keep)
 
-    def backward(grad: np.ndarray):
-        return (grad * keep,)
 
-    return Tensor._make(x.data * keep, (x,), backward)
+DROPOUT = Op(
+    "dropout", lambda x, keep: (x * keep, keep), lambda grad, keep, needed: (grad * keep,)
+)

@@ -7,12 +7,17 @@ participating tensor via :meth:`Tensor.backward`.
 
 The design follows the classic define-by-run tape:
 
-* every operation produces a new :class:`Tensor` whose ``_parents`` point at
-  its inputs and whose ``_backward`` closure knows how to push the output
-  gradient back to those inputs;
+* every differentiable op is one :class:`Op` registry entry — a name, an
+  array-level ``forward`` and an array-level ``backward`` — and every op
+  output is a new :class:`Tensor` whose ``_parents`` point at its inputs
+  and whose ``_op``/``_saved`` know how to push the output gradient back
+  to those inputs;
 * :meth:`Tensor.backward` topologically sorts the graph reachable from the
-  loss and runs the closures in reverse order, accumulating into
+  loss and runs the entries' backwards in reverse order, accumulating into
   ``tensor.grad``.
+
+The execution planner (:mod:`repro.nn.executor`) replays the same entries
+on frame slots, so each op's numpy math is written once.
 
 Gradients are plain ``numpy.ndarray`` objects (not tensors); higher-order
 differentiation is intentionally out of scope — the paper's algorithms only
@@ -21,8 +26,9 @@ need first-order gradients.
 
 from __future__ import annotations
 
+import functools
 import threading
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,10 +38,12 @@ _DEFAULT_DTYPE = np.float64
 
 
 class _GradMode(threading.local):
-    """Per-thread autograd switch (serve dispatch runs on executor threads)."""
+    """Per-thread tape state (serve dispatch runs on executor threads):
+    the autograd switch, and the op list of a plan capture in progress."""
 
     def __init__(self):
         self.enabled = True
+        self.capture: Optional[list] = None
 
 
 _GRAD_MODE = _GradMode()
@@ -49,18 +57,18 @@ def is_grad_enabled() -> bool:
 class no_grad:
     """Context manager that disables tape construction on this thread.
 
-    Inside the block :meth:`Tensor._make` short-circuits: op outputs are
-    created with ``requires_grad=False`` and no ``_parents`` tuple or
-    backward closure is attached, so inference-only forwards (rollout
-    ``act()``, evaluation, detached curiosity rewards) allocate no graph
-    at all.  Forward *values* are unchanged — only the tape is elided.
+    Inside the block :meth:`Tensor._make` still runs the op's forward but
+    attaches nothing: op outputs are created with ``requires_grad=False``
+    and no ``_parents`` tuple, op entry or saved values, so inference-only
+    forwards (rollout ``act()``, evaluation, detached curiosity rewards)
+    keep no graph at all.  Forward *values* are unchanged — only the tape
+    is elided.
 
-    The switch is consulted *inside* the original ``_make`` body, so the
-    sanitizer / tracer / profiler monkey-patch contract (wrappers around
-    ``Tensor._make`` that call through to the saved original) composes
-    unchanged: instrumented wrappers still see every op output, and a
-    ``no_grad`` forward stays bitwise-identical whether or not they are
-    installed.
+    The switch is consulted *inside* the pristine ``_make`` body (as is the
+    thread's plan-capture list), so the sanitizer's wrapper around
+    ``Tensor._make``, which calls through to the saved original, composes
+    unchanged: it still sees every op output, and a ``no_grad`` forward
+    stays bitwise-identical whether or not it is installed.
 
     Re-entrant and usable as a decorator-free plain context manager::
 
@@ -81,12 +89,12 @@ class no_grad:
 
 def _as_array(value: ArrayLike) -> np.ndarray:
     """Coerce ``value`` to a float numpy array without copying tensors."""
-    if isinstance(value, Tensor):
-        return value.data
     if isinstance(value, np.ndarray):
         if value.dtype.kind in "fc":
             return value
         return value.astype(_DEFAULT_DTYPE)
+    if isinstance(value, Tensor):
+        return value.data
     return np.asarray(value, dtype=_DEFAULT_DTYPE)
 
 
@@ -109,6 +117,266 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+# ---------------------------------------------------------------------------
+# Op registry: one definition per differentiable op
+# ---------------------------------------------------------------------------
+OPS: Dict[str, "Op"] = {}
+
+
+class Op:
+    """One differentiable op, defined once for the tape and the planner.
+
+    ``forward(*arrays, **attrs) -> (out, saved)`` computes the op on its
+    parents' arrays; ``saved`` is whatever ``backward`` reads (inputs,
+    masks, im2col columns, attrs).  ``backward(grad, saved, needed)``
+    returns one entry per parent: the gradient for each position in
+    ``needed`` and ``None`` elsewhere, so an edge nobody consumes is never
+    computed.  ``forward``'s result is boxed by the caller through
+    :func:`_as_array`.
+
+    :meth:`Tensor._make` calls ``forward`` and keeps the entry and
+    ``saved`` on the output for :meth:`Tensor._push`; an execution plan
+    (:mod:`repro.nn.executor`) emits one record per call of either, on
+    frame slots.  Constructing an entry registers it in :data:`OPS` under
+    its name, which is also the name the sanitizer reports.
+    """
+
+    __slots__ = ("name", "forward", "backward")
+
+    def __init__(self, name: str, forward: Callable, backward: Callable) -> None:
+        self.name = name
+        self.forward = forward
+        self.backward = backward
+        OPS[name] = self
+
+
+def _add_grad(grad, saved, needed):
+    a, b = saved
+    return (
+        _unbroadcast(grad, a.shape) if 0 in needed else None,
+        _unbroadcast(grad, b.shape) if 1 in needed else None,
+    )
+
+
+def _sub_grad(grad, saved, needed):
+    a, b = saved
+    return (
+        _unbroadcast(grad, a.shape) if 0 in needed else None,
+        _unbroadcast(-grad, b.shape) if 1 in needed else None,
+    )
+
+
+def _mul_grad(grad, saved, needed):
+    a, b = saved
+    return (
+        _unbroadcast(grad * b, a.shape) if 0 in needed else None,
+        _unbroadcast(grad * a, b.shape) if 1 in needed else None,
+    )
+
+
+def _div_grad(grad, saved, needed):
+    a, b = saved
+    return (
+        _unbroadcast(grad / b, a.shape) if 0 in needed else None,
+        _unbroadcast(-grad * a / (b ** 2), b.shape) if 1 in needed else None,
+    )
+
+
+def _matmul_grad(grad, saved, needed):
+    a, b = saved
+    want_a, want_b = 0 in needed, 1 in needed
+    if a.ndim >= 2 and b.ndim >= 2:
+        grad_a = _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape) if want_a else None
+        grad_b = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape) if want_b else None
+    elif a.ndim == 1 and b.ndim == 1:
+        grad_a = grad * b if want_a else None
+        grad_b = grad * a if want_b else None
+    elif a.ndim == 1 and b.ndim == 2:
+        # (k,) @ (k, n) -> (n,)
+        grad_a = b @ grad if want_a else None
+        grad_b = np.outer(a, grad) if want_b else None
+    elif a.ndim == 2 and b.ndim == 1:
+        # (m, k) @ (k,) -> (m,)
+        grad_a = np.outer(grad, b) if want_a else None
+        grad_b = a.T @ grad if want_b else None
+    else:
+        raise NotImplementedError(f"matmul backward for shapes {a.shape} @ {b.shape}")
+    return grad_a, grad_b
+
+
+def _select_grad(grad, saved, needed):
+    """maximum/minimum: ``take`` routes each element (ties to the left)."""
+    take, a, b = saved
+    return (
+        _unbroadcast(grad * take, a.shape) if 0 in needed else None,
+        _unbroadcast(grad * ~take, b.shape) if 1 in needed else None,
+    )
+
+
+def _where_grad(grad, saved, needed):
+    condition, a, b = saved
+    return (
+        _unbroadcast(np.where(condition, grad, 0.0), a.shape) if 0 in needed else None,
+        _unbroadcast(np.where(condition, 0.0, grad), b.shape) if 1 in needed else None,
+    )
+
+
+def _output_saved(fn):
+    """Forward for an op whose backward reads only its own output."""
+
+    def forward(x):
+        out = fn(x)
+        return out, out
+
+    return forward
+
+
+def _relu(x):
+    mask = x > 0
+    return np.where(mask, x, 0.0), mask
+
+
+def _clip(x, low, high):
+    return np.clip(x, low, high), (x >= low) & (x <= high)
+
+
+def _sum_grad(grad, saved, needed):
+    shape, axis, keepdims = saved
+    if axis is not None and not keepdims:
+        grad = np.expand_dims(grad, axis=axis)
+    return (np.broadcast_to(grad, shape).copy(),)
+
+
+def _max(x, axis=None, keepdims=False):
+    out = x.max(axis=axis, keepdims=keepdims)
+    return out, (x, out, axis, keepdims)
+
+
+def _max_grad(grad, saved, needed):
+    x, out, axis, keepdims = saved
+    if axis is not None and not keepdims:
+        grad = np.expand_dims(grad, axis=axis)
+        out = np.expand_dims(out, axis=axis)
+    mask = x == out
+    # Split gradient equally across ties, matching numpy semantics
+    # closely enough for optimization purposes.
+    counts = mask.sum(axis=axis, keepdims=True)
+    return (np.where(mask, grad / counts, 0.0),)
+
+
+@functools.lru_cache(maxsize=256)
+def _inverse_axes(axes: Tuple[int, ...], ndim: int) -> Tuple[int, ...]:
+    # The forward already let numpy validate ``axes``; normalising them
+    # modulo ``ndim`` makes negative axes invert correctly.
+    return tuple(int(i) for i in np.argsort([axis % ndim for axis in axes]))
+
+
+def _getitem_grad(grad, saved, needed):
+    x, index = saved
+    full = np.zeros_like(x)
+    # Generic gather backward: `index` may repeat elements, and
+    # np.add.at is the only scatter that accumulates duplicates.
+    # This is correctness machinery for arbitrary __getitem__,
+    # not a planned conv/pool hot path (those use _KernelPlan).
+    np.add.at(full, index, grad)  # reprolint: disable=RPL010
+    return (full,)
+
+
+def _pad2d(x, padding):
+    # Zero-fill + interior slice assignment instead of np.pad: same
+    # bytes, a fraction of the overhead (np.pad builds per-axis pad
+    # tuples and round-trips through a generic n-d path every call).
+    shape = x.shape[:-2] + (x.shape[-2] + 2 * padding, x.shape[-1] + 2 * padding)
+    out = np.zeros(shape, dtype=x.dtype)
+    out[..., padding:-padding, padding:-padding] = x
+    return out, padding
+
+
+def _concat_grad(grad, saved, needed):
+    sizes, axis = saved
+    pieces = [None] * len(sizes)
+    for pos in needed:
+        start = sum(sizes[:pos])
+        index = [slice(None)] * grad.ndim
+        index[axis] = slice(start, start + sizes[pos])
+        pieces[pos] = grad[tuple(index)]
+    return pieces
+
+
+def _stack_grad(grad, saved, needed):
+    axis, count = saved
+    moved = np.moveaxis(grad, axis, 0)
+    return [moved[pos] if pos in needed else None for pos in range(count)]
+
+
+ADD = Op("__add__", lambda a, b: (a + b, (a, b)), _add_grad)
+SUB = Op("__sub__", lambda a, b: (a - b, (a, b)), _sub_grad)
+MUL = Op("__mul__", lambda a, b: (a * b, (a, b)), _mul_grad)
+DIV = Op("__truediv__", lambda a, b: (a / b, (a, b)), _div_grad)
+NEG = Op("__neg__", lambda x: (-x, None), lambda grad, saved, needed: (-grad,))
+POW = Op(
+    "__pow__",
+    lambda x, exponent: (x ** exponent, (x, exponent)),
+    lambda grad, saved, needed: (grad * saved[1] * saved[0] ** (saved[1] - 1),),
+)
+MATMUL = Op("__matmul__", lambda a, b: (a @ b, (a, b)), _matmul_grad)
+EXP = Op("exp", _output_saved(np.exp), lambda grad, out, needed: (grad * out,))
+LOG = Op("log", lambda x: (np.log(x), x), lambda grad, x, needed: (grad / x,))
+SQRT = Op("sqrt", _output_saved(np.sqrt), lambda grad, out, needed: (grad * 0.5 / out,))
+ABS = Op("abs", lambda x: (np.abs(x), x), lambda grad, x, needed: (grad * np.sign(x),))
+TANH = Op(
+    "tanh", _output_saved(np.tanh), lambda grad, out, needed: (grad * (1.0 - out ** 2),)
+)
+SIGMOID = Op(
+    "sigmoid",
+    _output_saved(lambda x: 1.0 / (1.0 + np.exp(-x))),
+    lambda grad, out, needed: (grad * out * (1.0 - out),),
+)
+RELU = Op("relu", _relu, lambda grad, mask, needed: (grad * mask,))
+CLIP = Op("clip", _clip, lambda grad, mask, needed: (grad * mask,))
+MAXIMUM = Op("maximum", lambda a, b: (np.maximum(a, b), (a >= b, a, b)), _select_grad)
+MINIMUM = Op("minimum", lambda a, b: (np.minimum(a, b), (a <= b, a, b)), _select_grad)
+SUM = Op(
+    "sum",
+    lambda x, axis=None, keepdims=False: (
+        x.sum(axis=axis, keepdims=keepdims), (x.shape, axis, keepdims)
+    ),
+    _sum_grad,
+)
+MAX = Op("max", _max, _max_grad)
+RESHAPE = Op(
+    "reshape",
+    lambda x, shape: (x.reshape(shape), x.shape),
+    lambda grad, shape, needed: (grad.reshape(shape),),
+)
+TRANSPOSE = Op(
+    "transpose",
+    lambda x, axes: (x.transpose(axes), (axes, x.ndim)),
+    lambda grad, saved, needed: (grad.transpose(_inverse_axes(*saved)),),
+)
+GETITEM = Op("__getitem__", lambda x, index: (x[index], (x, index)), _getitem_grad)
+PAD2D = Op(
+    "pad2d",
+    _pad2d,
+    lambda grad, padding, needed: (grad[..., padding:-padding, padding:-padding],),
+)
+CONCAT = Op(
+    "concat",
+    lambda *arrays, axis: (
+        np.concatenate(arrays, axis=axis), ([a.shape[axis] for a in arrays], axis)
+    ),
+    _concat_grad,
+)
+STACK = Op(
+    "stack", lambda *arrays, axis: (np.stack(arrays, axis=axis), (axis, len(arrays))), _stack_grad
+)
+WHERE = Op(
+    "where",
+    lambda a, b, condition: (np.where(condition, a, b), (condition, a, b)),
+    _where_grad,
+)
+
+
 class Tensor:
     """A numpy array with reverse-mode autodiff support.
 
@@ -127,7 +395,8 @@ class Tensor:
         "data",
         "grad",
         "requires_grad",
-        "_backward",
+        "_op",
+        "_saved",
         "_parents",
         "name",
         "__weakref__",
@@ -137,7 +406,8 @@ class Tensor:
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._op: Optional[Op] = None
+        self._saved = None
         self._parents: Tuple[Tensor, ...] = ()
         self.name = name
 
@@ -191,28 +461,33 @@ class Tensor:
     # Graph construction helper
     # ------------------------------------------------------------------
     @staticmethod
-    def _make(
-        data: np.ndarray,
-        parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
-    ) -> "Tensor":
-        """Create an op output tensor, wiring the tape if any parent needs grad.
+    def _make(op: Op, parents: Tuple["Tensor", ...], **attrs) -> "Tensor":
+        """Run ``op`` on the parents' data; wire the tape if any needs grad.
 
         Under :class:`no_grad` the tape is elided entirely — no parents
-        tuple, no backward closure, ``requires_grad=False`` — which is
-        what makes inference-mode forwards allocation-free on the graph
-        side.  The check lives *here* (not in the ops) so every wrapped
-        ``_make`` installed by the sanitizer/tracer/profiler inherits it.
+        tuple, no entry, no saved values, ``requires_grad=False``.  While
+        a plan capture is running on this thread (``_GRAD_MODE.capture``,
+        set by :mod:`repro.nn.executor`), every op is also appended to it
+        as ``(out, parents, op, attrs, reboxed)``, grad mode or not;
+        ``reboxed`` says whether boxing replaced the forward's result (a
+        numpy scalar, say) rather than keeping its array.  Both checks
+        live *here* so a wrapper around ``_make`` that calls through to
+        this one (the sanitizer's) inherits them.
         """
+        data, saved = op.forward(*[p.data for p in parents], **attrs)
         out = Tensor(data)
-        if _GRAD_MODE.enabled:
+        state = _GRAD_MODE
+        if state.capture is not None:
+            state.capture.append((out, parents, op, attrs, out.data is not data))
+        if state.enabled:
             # Plain loop instead of any(generator): this is the hottest
             # call in the framework and the generator allocation shows up.
             for p in parents:
                 if p.requires_grad:
                     out.requires_grad = True
-                    out._parents = tuple(parents)
-                    out._backward = backward
+                    out._parents = parents
+                    out._op = op
+                    out._saved = saved
                     break
         return out
 
@@ -273,11 +548,10 @@ class Tensor:
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            if node._backward is None:
+            if node._op is None:
                 node._accumulate(node_grad)
                 continue
-            # Interior node: push to parents via the op's closure.  The
-            # closure accumulates into a temp dict through _receive.
+            # Interior node: push to parents via the op's backward.
             node._push(node_grad, grads)
 
         # Any remaining staged grads belong to leaves reached but not popped
@@ -288,13 +562,15 @@ class Tensor:
                 node._accumulate(leftover)
 
     def _push(self, out_grad: np.ndarray, grads: dict[int, np.ndarray]) -> None:
-        """Run this op's backward closure, staging parent grads in ``grads``."""
-        contributions = self._backward(out_grad)
-        for parent, contribution in zip(self._parents, contributions):
-            if contribution is None or not parent.requires_grad:
+        """Run this op's backward entry, staging parent grads in ``grads``."""
+        parents = self._parents
+        needed = tuple(pos for pos, parent in enumerate(parents) if parent.requires_grad)
+        contributions = self._op.backward(out_grad, self._saved, needed)
+        for parent, contribution in zip(parents, contributions):
+            if contribution is None:
                 continue
             key = id(parent)
-            if parent._backward is None:
+            if parent._op is None:
                 # Leaf: accumulate directly into .grad.
                 parent._accumulate(contribution)
             elif key in grads:
@@ -306,80 +582,36 @@ class Tensor:
     # Arithmetic ops
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other_t = ensure_tensor(other)
-        data = self.data + other_t.data
-
-        def backward(grad: np.ndarray):
-            return (
-                _unbroadcast(grad, self.shape),
-                _unbroadcast(grad, other_t.shape),
-            )
-
-        return Tensor._make(data, (self, other_t), backward)
+        return Tensor._make(ADD, (self, ensure_tensor(other)))
 
     def __radd__(self, other: ArrayLike) -> "Tensor":
         return self.__add__(other)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        other_t = ensure_tensor(other)
-        data = self.data - other_t.data
-
-        def backward(grad: np.ndarray):
-            return (
-                _unbroadcast(grad, self.shape),
-                _unbroadcast(-grad, other_t.shape),
-            )
-
-        return Tensor._make(data, (self, other_t), backward)
+        return Tensor._make(SUB, (self, ensure_tensor(other)))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return ensure_tensor(other).__sub__(self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other_t = ensure_tensor(other)
-        data = self.data * other_t.data
-
-        def backward(grad: np.ndarray):
-            return (
-                _unbroadcast(grad * other_t.data, self.shape),
-                _unbroadcast(grad * self.data, other_t.shape),
-            )
-
-        return Tensor._make(data, (self, other_t), backward)
+        return Tensor._make(MUL, (self, ensure_tensor(other)))
 
     def __rmul__(self, other: ArrayLike) -> "Tensor":
         return self.__mul__(other)
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other_t = ensure_tensor(other)
-        data = self.data / other_t.data
-
-        def backward(grad: np.ndarray):
-            return (
-                _unbroadcast(grad / other_t.data, self.shape),
-                _unbroadcast(-grad * self.data / (other_t.data ** 2), other_t.shape),
-            )
-
-        return Tensor._make(data, (self, other_t), backward)
+        return Tensor._make(DIV, (self, ensure_tensor(other)))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return ensure_tensor(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
-        def backward(grad: np.ndarray):
-            return (-grad,)
-
-        return Tensor._make(-self.data, (self,), backward)
+        return Tensor._make(NEG, (self,))
 
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise TypeError("tensor exponents are not supported; use exp/log")
-        data = self.data ** exponent
-
-        def backward(grad: np.ndarray):
-            return (grad * exponent * self.data ** (exponent - 1),)
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(POW, (self,), exponent=exponent)
 
     # Comparisons yield plain boolean arrays (non-differentiable).
     def __gt__(self, other: ArrayLike) -> np.ndarray:
@@ -398,157 +630,57 @@ class Tensor:
     # Matrix ops
     # ------------------------------------------------------------------
     def __matmul__(self, other: ArrayLike) -> "Tensor":
-        other_t = ensure_tensor(other)
-        data = self.data @ other_t.data
-
-        def backward(grad: np.ndarray):
-            a, b = self.data, other_t.data
-            if a.ndim == 1 and b.ndim == 1:
-                grad_a = grad * b
-                grad_b = grad * a
-            elif a.ndim == 1 and b.ndim == 2:
-                # (k,) @ (k, n) -> (n,)
-                grad_a = b @ grad
-                grad_b = np.outer(a, grad)
-            elif a.ndim == 2 and b.ndim == 1:
-                # (m, k) @ (k,) -> (m,)
-                grad_a = np.outer(grad, b)
-                grad_b = a.T @ grad
-            elif a.ndim >= 2 and b.ndim >= 2:
-                grad_a = _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
-                grad_b = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
-            else:
-                raise NotImplementedError(
-                    f"matmul backward for shapes {a.shape} @ {b.shape}"
-                )
-            return grad_a, grad_b
-
-        return Tensor._make(data, (self, other_t), backward)
+        return Tensor._make(MATMUL, (self, ensure_tensor(other)))
 
     # ------------------------------------------------------------------
     # Elementwise functions
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         """Elementwise ``e**x``."""
-        data = np.exp(self.data)
-
-        def backward(grad: np.ndarray):
-            return (grad * data,)
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(EXP, (self,))
 
     def log(self) -> "Tensor":
         """Elementwise natural logarithm."""
-        data = np.log(self.data)
-
-        def backward(grad: np.ndarray):
-            return (grad / self.data,)
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(LOG, (self,))
 
     def sqrt(self) -> "Tensor":
         """Elementwise square root."""
-        data = np.sqrt(self.data)
-
-        def backward(grad: np.ndarray):
-            return (grad * 0.5 / data,)
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(SQRT, (self,))
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value (subgradient sign(x))."""
-        data = np.abs(self.data)
-
-        def backward(grad: np.ndarray):
-            return (grad * np.sign(self.data),)
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(ABS, (self,))
 
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent."""
-        data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray):
-            return (grad * (1.0 - data ** 2),)
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(TANH, (self,))
 
     def sigmoid(self) -> "Tensor":
         """Elementwise logistic sigmoid."""
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray):
-            return (grad * data * (1.0 - data),)
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(SIGMOID, (self,))
 
     def relu(self) -> "Tensor":
         """Elementwise ``max(x, 0)``."""
-        mask = self.data > 0
-        data = np.where(mask, self.data, 0.0)
-
-        def backward(grad: np.ndarray):
-            return (grad * mask,)
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(RELU, (self,))
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values; gradient is zero outside [low, high] (hard clip)."""
-        data = np.clip(self.data, low, high)
-        mask = (self.data >= low) & (self.data <= high)
-
-        def backward(grad: np.ndarray):
-            return (grad * mask,)
-
-        # The bounds are not closure freevars of ``backward``; the
-        # execution plan needs them to rebuild the forward kernel.
-        backward._plan_consts = (low, high)
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(CLIP, (self,), low=low, high=high)
 
     def maximum(self, other: ArrayLike) -> "Tensor":
         """Elementwise maximum; ties route gradient to ``self``."""
-        other_t = ensure_tensor(other)
-        data = np.maximum(self.data, other_t.data)
-        take_self = self.data >= other_t.data
-
-        def backward(grad: np.ndarray):
-            return (
-                _unbroadcast(grad * take_self, self.shape),
-                _unbroadcast(grad * ~take_self, other_t.shape),
-            )
-
-        return Tensor._make(data, (self, other_t), backward)
+        return Tensor._make(MAXIMUM, (self, ensure_tensor(other)))
 
     def minimum(self, other: ArrayLike) -> "Tensor":
         """Elementwise minimum; ties route gradient to ``self``."""
-        other_t = ensure_tensor(other)
-        data = np.minimum(self.data, other_t.data)
-        take_self = self.data <= other_t.data
-
-        def backward(grad: np.ndarray):
-            return (
-                _unbroadcast(grad * take_self, self.shape),
-                _unbroadcast(grad * ~take_self, other_t.shape),
-            )
-
-        return Tensor._make(data, (self, other_t), backward)
+        return Tensor._make(MINIMUM, (self, ensure_tensor(other)))
 
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Sum over ``axis`` (all elements when None)."""
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray):
-            if axis is None:
-                return (np.broadcast_to(grad, self.shape).copy(),)
-            g = grad
-            if not keepdims:
-                g = np.expand_dims(g, axis=axis)
-            return (np.broadcast_to(g, self.shape).copy(),)
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(SUM, (self,), axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Arithmetic mean over ``axis``."""
@@ -567,21 +699,7 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Maximum over ``axis``; gradient splits equally across ties."""
-        data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray):
-            g = grad
-            d = data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-                d = np.expand_dims(d, axis=axis)
-            mask = self.data == d
-            # Split gradient equally across ties, matching numpy semantics
-            # closely enough for optimization purposes.
-            counts = mask.sum(axis=axis if axis is not None else None, keepdims=True)
-            return (np.where(mask, g / counts, 0.0),)
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(MAX, (self,), axis=axis, keepdims=keepdims)
 
     # ------------------------------------------------------------------
     # Shape ops
@@ -590,12 +708,7 @@ class Tensor:
         """View with a new shape (same number of elements)."""
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        data = self.data.reshape(shape)
-
-        def backward(grad: np.ndarray):
-            return (grad.reshape(self.shape),)
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(RESHAPE, (self,), shape=shape)
 
     def flatten(self) -> "Tensor":
         """Reshape to one dimension."""
@@ -607,53 +720,20 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        data = self.data.transpose(axes)
-        inverse = np.argsort(axes)
-
-        def backward(grad: np.ndarray):
-            return (grad.transpose(inverse),)
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(TRANSPOSE, (self,), axes=axes)
 
     @property
     def T(self) -> "Tensor":
         return self.transpose()
 
     def __getitem__(self, index) -> "Tensor":
-        data = self.data[index]
-
-        def backward(grad: np.ndarray):
-            full = np.zeros_like(self.data)
-            # Generic gather backward: `index` may repeat elements, and
-            # np.add.at is the only scatter that accumulates duplicates.
-            # This is correctness machinery for arbitrary __getitem__,
-            # not a planned conv/pool hot path (those use _KernelPlan).
-            np.add.at(full, index, grad)  # reprolint: disable=RPL010
-            return (full,)
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(GETITEM, (self,), index=index)
 
     def pad2d(self, padding: int) -> "Tensor":
         """Zero-pad the trailing two (spatial) dimensions symmetrically."""
         if padding == 0:
             return self
-        # Zero-fill + interior slice assignment instead of np.pad: same
-        # bytes, a fraction of the overhead (np.pad builds per-axis pad
-        # tuples and round-trips through a generic n-d path every call).
-        shape = self.shape[:-2] + (
-            self.shape[-2] + 2 * padding,
-            self.shape[-1] + 2 * padding,
-        )
-        data = np.zeros(shape, dtype=self.data.dtype)
-        data[..., padding:-padding, padding:-padding] = self.data
-
-        def backward(grad: np.ndarray):
-            slices = tuple(
-                slice(None) for __ in range(self.ndim - 2)
-            ) + (slice(padding, -padding), slice(padding, -padding))
-            return (grad[slices],)
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(PAD2D, (self,), padding=padding)
 
 
 def ensure_tensor(value: ArrayLike) -> Tensor:
@@ -665,47 +745,21 @@ def ensure_tensor(value: ArrayLike) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable concatenation along ``axis``."""
-    tensors = [ensure_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray):
-        pieces = []
-        for i in range(len(tensors)):
-            index = [slice(None)] * grad.ndim
-            index[axis] = slice(offsets[i], offsets[i + 1])
-            pieces.append(grad[tuple(index)])
-        return tuple(pieces)
-
-    return Tensor._make(data, tensors, backward)
+    return Tensor._make(CONCAT, tuple(ensure_tensor(t) for t in tensors), axis=axis)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable stacking along a new ``axis``."""
-    tensors = [ensure_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray):
-        moved = np.moveaxis(grad, axis, 0)
-        return tuple(moved[i] for i in range(len(tensors)))
-
-    return Tensor._make(data, tensors, backward)
+    return Tensor._make(STACK, tuple(ensure_tensor(t) for t in tensors), axis=axis)
 
 
 def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
     """Differentiable select; ``condition`` is a plain boolean array."""
-    a_t, b_t = ensure_tensor(a), ensure_tensor(b)
-    condition = np.asarray(condition, dtype=bool)
-    data = np.where(condition, a_t.data, b_t.data)
-
-    def backward(grad: np.ndarray):
-        return (
-            _unbroadcast(np.where(condition, grad, 0.0), a_t.shape),
-            _unbroadcast(np.where(condition, 0.0, grad), b_t.shape),
-        )
-
-    return Tensor._make(data, (a_t, b_t), backward)
+    return Tensor._make(
+        WHERE,
+        (ensure_tensor(a), ensure_tensor(b)),
+        condition=np.asarray(condition, dtype=bool),
+    )
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:

@@ -315,11 +315,12 @@ def _roll(employee, episodes=2):
     return [agent.collect_episodes([env], [rng])[0] for __ in range(episodes)]
 
 
-def test_concurrent_plan_captures_keep_the_thread_backend_bitwise():
+def test_concurrent_plan_captures_are_thread_local_and_bitwise():
     """Four agents roll on four threads at once, with the GIL switching
-    as often as it can: captures patch ``Tensor._make`` process-wide, so
-    a neighbour's step may fall back to the tape, but no plan may fail
-    validation and no bit may move against a sequential run."""
+    as often as it can.  A capture records through its own thread's
+    list and patches nothing process-wide, so a neighbour's capture
+    sends no step to the tape: every act planner builds once and then
+    only replays, and no bit moves against a sequential run."""
     expected = [_roll(employee) for employee in _four_employees()]
     employees = _four_employees()
     got = [None] * len(employees)
@@ -349,4 +350,5 @@ def test_concurrent_plan_captures_keep_the_thread_backend_bitwise():
         stats = agent._act_planner.stats
         assert stats["validation_failed"] == 0
         assert stats["unsupported"] == 0
+        assert stats["tape_runs"] == 0
         assert stats["built"] == 1

@@ -21,6 +21,7 @@ from repro.agents import CEWSAgent, PPOConfig
 from repro.agents.ppo import _ppo_arrays, make_ppo_planner, ppo_step
 from repro.env import CrowdsensingEnv, smoke_config
 from repro.nn import fast_path_allowed
+from repro.nn import functional as F
 
 
 @pytest.fixture(scope="module")
@@ -238,30 +239,24 @@ class TestArenaEscapeSafety:
             ), "the two minibatches must differ for the check to bite"
 
 
-def _program_with_a_stale_closure(weight):
-    """A program whose one custom op claims the ``softmax`` builder but
-    whose backward closure captures no ``axis`` — the shape of a kernel
-    builder that outlived a change to the op it transcribes."""
+def _program_with_a_dropout_mask(weight):
+    """A program whose one unplannable op is ``F.dropout``: its mask is
+    drawn per call, an attr array the plan cannot place.  The generator
+    is re-seeded per call so the tape's bytes repeat."""
 
     def program(inputs):
         x = nn.Tensor(inputs["x"]) * weight
-        data = np.exp(x.data)
-
-        def backward(grad):
-            return (grad * data,)
-
-        backward.__qualname__ = "softmax.<locals>.backward"
-        y = nn.Tensor._make(data, (x,), backward)
+        y = F.dropout(x, 0.5, np.random.default_rng(7))
         return {"loss": y.sum(), "y": y}
 
     return program
 
 
-class TestMissingClosureVariable:
-    def test_missing_freevar_retires_the_signature_to_the_tape(self):
+class TestUnresolvableAttr:
+    def test_per_call_dropout_mask_retires_the_signature(self):
         rng = np.random.default_rng(0)
         weight = nn.Parameter(rng.normal(size=(3, 4)))
-        program = _program_with_a_stale_closure(weight)
+        program = _program_with_a_dropout_mask(weight)
         inputs = {"x": rng.normal(size=(3, 4))}
 
         outs = program(inputs)
@@ -269,7 +264,7 @@ class TestMissingClosureVariable:
         ref_outs = {name: t.data.copy() for name, t in outs.items()}
         ref_grad = weight.grad.copy()
 
-        planner = nn.Planner(program, name="stale")
+        planner = nn.Planner(program, name="dropout")
         for step in range(2):
             weight.grad = None
             got = planner.step(inputs)
@@ -279,8 +274,10 @@ class TestMissingClosureVariable:
                 assert got[name].tobytes() == want.tobytes()
             assert weight.grad.tobytes() == ref_grad.tobytes()
             if step == 0:
-                assert "softmax" in planner.last_reason
-                assert "'axis'" in planner.last_reason
+                assert planner.last_reason == (
+                    "unsupported: cannot resolve captured array "
+                    "(shape (3, 4), dtype float64)"
+                )
         assert planner.last_reason == "signature retired to tape"
         assert planner.stats["unsupported"] == 1
         assert planner.stats["tape_runs"] == 2

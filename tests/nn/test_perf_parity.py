@@ -430,7 +430,7 @@ class TestNoGrad:
         assert taped.requires_grad
         assert not untaped.requires_grad
         assert untaped._parents == ()
-        assert untaped._backward is None
+        assert untaped._op is None
         assert again.data.tobytes() == taped.data.tobytes()
 
     def test_nesting_and_restore(self):

@@ -144,7 +144,7 @@ class TestBackwardBasics:
     def test_no_grad_tracking_when_not_required(self):
         x = nn.Tensor([1.0])
         y = x * 2
-        assert y._backward is None
+        assert y._op is None
         assert not y.requires_grad
 
 
@@ -310,6 +310,32 @@ class TestShapeOps:
         np.testing.assert_array_equal(
             nn.Tensor(arr).transpose(2, 0, 1).data, arr.transpose(2, 0, 1)
         )
+
+    def test_transpose_negative_axes_grad_matches_positive_spelling(self, rng):
+        """``(0, -1, -2)`` is ``(0, 2, 1)``: the same gradient bytes on the
+        tape, and a plan of it replays the tape's bytes."""
+        arr = rng.normal(size=(2, 3, 4))
+        downstream = rng.normal(size=(2, 4, 3))
+        grads = []
+        for axes in ((0, -1, -2), (0, 2, 1)):
+            x = nn.Tensor(arr.copy(), requires_grad=True)
+            (x.transpose(*axes) * nn.Tensor(downstream)).sum().backward()
+            grads.append(x.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
+
+        weight = nn.Parameter(arr.copy())
+
+        def program(inputs):
+            y = weight.transpose(0, -1, -2)
+            return {"loss": (y * nn.Tensor(inputs["w"])).sum(), "y": y}
+
+        planner = nn.Planner(program, name="transpose")
+        for __ in range(2):
+            weight.grad = None
+            out = planner.step({"w": downstream})
+            assert planner.last_path == "plan", planner.last_reason
+            assert out["y"].tobytes() == arr.transpose(0, 2, 1).tobytes()
+            assert weight.grad.tobytes() == grads[1].tobytes()
 
     def test_getitem_fancy_index_grad(self):
         x = nn.Tensor(np.arange(6.0), requires_grad=True)
