@@ -216,8 +216,8 @@ class AsyncActorLearner:
             ):
                 buffer, result = actor.collect_episode(env, rng)
             batch = buffer.full_batch()  # ordered trajectory
-            rewards = np.array([tr.reward for tr in buffer._transitions])
-            dones = np.array([tr.done for tr in buffer._transitions])
+            rewards = buffer.rewards
+            dones = buffer.dones
 
             # Learner-side forward pass with *current* parameters.
             with trace_span("learner.forward", actor=actor_index, episode=episode):

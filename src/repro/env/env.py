@@ -97,6 +97,10 @@ class CrowdsensingEnv:
         self.t = 0
         self._needs_reset = True
         self._sensing_ranges = np.asarray(config.sensing_ranges())
+        # valid_move_mask's result for the exact (positions, energy) bytes
+        # it was last computed on; the space and move_step never change.
+        self._mask_key: Optional[tuple] = None
+        self._mask: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Interface
@@ -139,9 +143,7 @@ class CrowdsensingEnv:
         old_positions = workers.positions.copy()
 
         # --- 1. Move validation -------------------------------------------------
-        move_mask = valid_move_mask(
-            self.space, workers.positions, workers.energy, config.move_step
-        )
+        move_mask = self._move_mask()
         chosen = action.move.copy()
         bumped = ~move_mask[np.arange(self.num_workers), chosen]
         chosen[bumped] = STAY
@@ -239,10 +241,31 @@ class CrowdsensingEnv:
     # Queries used by agents
     # ------------------------------------------------------------------
     def valid_moves(self) -> np.ndarray:
-        """(W, NUM_MOVES) validity mask at the current positions."""
-        return valid_move_mask(
-            self.space, self.workers.positions, self.workers.energy, self.config.move_step
+        """(W, NUM_MOVES) validity mask at the current positions.
+
+        The mask is memoized on the exact bytes of ``workers.positions``
+        and ``workers.energy``, so an agent's query and the ``step()``
+        that follows it compute it once; a write to either array from
+        outside misses the memo.  Each call returns a fresh copy, which the
+        caller may mutate without touching the memo.
+        """
+        return self._move_mask().copy()
+
+    def _move_mask(self) -> np.ndarray:
+        positions = np.asarray(self.workers.positions)
+        energy = np.asarray(self.workers.energy)
+        key = (
+            positions.dtype.str,
+            positions.shape,
+            positions.tobytes(),
+            energy.dtype.str,
+            energy.shape,
+            energy.tobytes(),
         )
+        if key != self._mask_key:
+            self._mask = valid_move_mask(self.space, positions, energy, self.config.move_step)
+            self._mask_key = key
+        return self._mask
 
     def charge_possible(self) -> np.ndarray:
         """(W,) mask of workers currently within charging range."""

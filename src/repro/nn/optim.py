@@ -109,7 +109,17 @@ class Adam(Optimizer):
         self._v: List[Optional[np.ndarray]] = [None] * len(self.params)
 
     def step(self) -> None:
-        """One bias-corrected Adam update."""
+        """One bias-corrected Adam update.
+
+        Every array op runs in place on the moments or on one of two
+        temporaries, with the operands and the order of the out-of-place
+        spelling, so every bit of ``m``, ``v`` and the parameters is kept:
+        ``m *= b1; m += (1-b1)*g`` is ``b1*m + (1-b1)*g``;
+        ``t = (1-b2)*g; t *= g; v *= b2; v += t`` is
+        ``b2*v + ((1-b2)*g)*g``; and the update is still
+        ``(lr*m_hat) / (sqrt(v_hat) + eps)`` (a product's operand order
+        does not change its bits).
+        """
         self._step_count += 1
         bias1 = 1.0 - self.beta1 ** self._step_count
         bias2 = 1.0 - self.beta2 ** self._step_count
@@ -118,13 +128,22 @@ class Adam(Optimizer):
             if grad is None:
                 continue
             if self._m[i] is None:
-                self._m[i] = np.zeros_like(param.data)
-                self._v[i] = np.zeros_like(param.data)
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * grad
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * grad * grad
-            m_hat = self._m[i] / bias1
-            v_hat = self._v[i] / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                self._m[i] = np.zeros(param.data.shape)
+                self._v[i] = np.zeros(param.data.shape)
+            m, v = self._m[i], self._v[i]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            square = (1.0 - self.beta2) * grad
+            square *= grad
+            v *= self.beta2
+            v += square
+            update = m / bias1
+            update *= self.lr
+            denominator = v / bias2
+            np.sqrt(denominator, out=denominator)
+            denominator += self.eps
+            update /= denominator
+            param.data -= update
 
     def state_dict(self) -> Dict[str, object]:
         """Optimizer state for checkpointing alongside model weights."""
@@ -135,10 +154,39 @@ class Adam(Optimizer):
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore moment state saved by :meth:`state_dict`."""
+        """Restore moment state saved by :meth:`state_dict`.
+
+        Each moment list must hold one entry per parameter, in order, and
+        each entry must be ``None`` or have its parameter's shape (``m[i]``
+        and ``v[i]`` are ``None`` together); anything else raises
+        ``ValueError`` naming the entry.  The optimizer keeps float64
+        copies it owns, since :meth:`step` updates them in place.
+        """
+        moments = {}
+        for key in ("m", "v"):
+            entries = list(state[key])
+            if len(entries) != len(self.params):
+                raise ValueError(
+                    f"{key!r} has {len(entries)} moments for {len(self.params)} parameters"
+                )
+            owned: List[Optional[np.ndarray]] = []
+            for i, (entry, param) in enumerate(zip(entries, self.params)):
+                if entry is None:
+                    owned.append(None)
+                    continue
+                moment = np.array(entry, dtype=np.float64)
+                if moment.shape != param.data.shape:
+                    raise ValueError(
+                        f"{key!r}[{i}] has shape {moment.shape}, "
+                        f"parameter {i} has shape {param.data.shape}"
+                    )
+                owned.append(moment)
+            moments[key] = owned
+        for i, (m, v) in enumerate(zip(moments["m"], moments["v"])):
+            if (m is None) != (v is None):
+                raise ValueError(f"moment {i}: 'm' and 'v' must both be set or both be None")
         self._step_count = int(state["step_count"])
-        self._m = [None if m is None else np.asarray(m).copy() for m in state["m"]]
-        self._v = [None if v is None else np.asarray(v).copy() for v in state["v"]]
+        self._m, self._v = moments["m"], moments["v"]
 
 
 def global_grad_norm(params: Iterable[Parameter]) -> float:

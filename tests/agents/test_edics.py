@@ -66,9 +66,7 @@ class TestRollout:
 
     def test_per_worker_rewards_stored(self, edics, env, rng):
         rollout, __ = edics.collect_episode(env, rng)
-        rewards = [
-            [tr.reward for tr in buffer._transitions] for buffer in rollout.buffers
-        ]
+        rewards = [buffer.rewards.tolist() for buffer in rollout.buffers]
         # Workers see different reward streams in general.
         assert rewards[0] != rewards[1] or len(set(rewards[0])) > 1
 

@@ -62,9 +62,8 @@ class TestCollect:
 
     def test_rewards_include_intrinsic(self, cews, cews_env, rng):
         buffer, result = cews.collect_episode(cews_env, rng)
-        batch = buffer.full_batch()
         # Total stored reward equals ext + int totals.
-        stored_total = sum(tr.reward for tr in buffer._transitions)
+        stored_total = sum(buffer.rewards.tolist())
         assert stored_total == pytest.approx(
             result.extrinsic_reward + result.intrinsic_reward
         )

@@ -156,3 +156,109 @@ class TestGradClipping:
         a.grad = np.array([0.5])
         nn.clip_grad_norm([a], max_norm=1.0)
         np.testing.assert_allclose(a.grad, [0.5])
+
+
+def reference_adam(datas, grad_steps, lr=0.01, betas=(0.9, 0.999), eps=1e-8):
+    """Adam spelled out of place, as the optimizer computed it before its
+    moments were updated in place; returns the parameters after every step."""
+    beta1, beta2 = betas
+    m = [np.zeros_like(d) for d in datas]
+    v = [np.zeros_like(d) for d in datas]
+    history = []
+    for t, grads in enumerate(grad_steps, start=1):
+        bias1 = 1.0 - beta1 ** t
+        bias2 = 1.0 - beta2 ** t
+        for i, grad in enumerate(grads):
+            if grad is None:
+                continue
+            m[i] = beta1 * m[i] + (1.0 - beta1) * grad
+            v[i] = beta2 * v[i] + (1.0 - beta2) * grad * grad
+            m_hat = m[i] / bias1
+            v_hat = v[i] / bias2
+            datas[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        history.append([d.copy() for d in datas])
+    return history
+
+
+class TestAdamInPlace:
+    SHAPES = [(2, 3), (4,), (3, 1, 2)]
+
+    def grad_steps(self, steps=20):
+        rng = np.random.default_rng(5)
+        out = []
+        for t in range(steps):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-3, 3), size=s) for s in self.SHAPES]
+            if t % 7 == 3:
+                grads[1] = None  # a parameter with no gradient this step
+            out.append(grads)
+        return out
+
+    def initial(self):
+        rng = np.random.default_rng(9)
+        return [rng.normal(size=s) for s in self.SHAPES]
+
+    def test_twenty_steps_with_a_round_trip_equal_the_reference(self):
+        steps = self.grad_steps()
+        want = reference_adam(self.initial(), steps)
+        params = [Parameter(d) for d in self.initial()]
+        opt = nn.Adam(params, lr=0.01)
+        for t, grads in enumerate(steps):
+            if t == 10:
+                # Halfway, continue on a fresh optimizer from a state_dict.
+                state = opt.state_dict()
+                opt = nn.Adam(params, lr=0.01)
+                opt.load_state_dict(state)
+            for param, grad in zip(params, grads):
+                param.grad = grad
+            opt.step()
+            for param, expected in zip(params, want[t]):
+                assert param.data.tobytes() == expected.tobytes(), f"step {t}"
+
+    def test_earlier_state_dict_is_not_moved_by_later_steps(self):
+        params = [Parameter(d) for d in self.initial()]
+        opt = nn.Adam(params, lr=0.01)
+        steps = self.grad_steps(6)
+        for param, grad in zip(params, steps[0]):
+            param.grad = grad
+        opt.step()
+        state = opt.state_dict()
+        frozen = [m.tobytes() for m in state["m"]] + [v.tobytes() for v in state["v"]]
+        for grads in steps[1:]:
+            for param, grad in zip(params, grads):
+                param.grad = grad
+            opt.step()
+        assert [m.tobytes() for m in state["m"]] + [v.tobytes() for v in state["v"]] == frozen
+
+    def test_loaded_moments_are_owned_copies(self):
+        p = make_param([1.0, 2.0])
+        opt = nn.Adam([p], lr=0.1)
+        m, v = np.array([0.5, 0.5]), np.array([0.25, 0.25])
+        opt.load_state_dict({"step_count": 1, "m": [m], "v": [v]})
+        p.grad = np.array([1.0, -1.0])
+        opt.step()
+        np.testing.assert_array_equal(m, [0.5, 0.5])
+        np.testing.assert_array_equal(v, [0.25, 0.25])
+        assert opt.state_dict()["m"][0].dtype == np.float64
+
+    def test_load_rejects_a_moment_of_the_wrong_shape(self):
+        opt = nn.Adam([Parameter(np.zeros((2, 3)))], lr=0.1)
+        with pytest.raises(ValueError, match=r"'m'\[0\] has shape \(1,\)"):
+            opt.load_state_dict({"step_count": 1, "m": [np.zeros(1)], "v": [np.zeros((2, 3))]})
+        with pytest.raises(ValueError, match=r"'v'\[0\]"):
+            opt.load_state_dict({"step_count": 1, "m": [np.zeros((2, 3))], "v": [np.zeros(3)]})
+
+    def test_load_rejects_a_wrong_moment_count(self):
+        opt = nn.Adam([make_param([1.0])], lr=0.1)
+        with pytest.raises(ValueError, match="2 moments for 1 parameters"):
+            opt.load_state_dict(
+                {"step_count": 1, "m": [np.zeros(1)] * 2, "v": [np.zeros(1)] * 2}
+            )
+
+    def test_load_accepts_none_entries_in_pairs_only(self):
+        a, b = make_param([1.0]), make_param([2.0])
+        opt = nn.Adam([a, b], lr=0.1)
+        opt.load_state_dict({"step_count": 3, "m": [None, np.ones(1)], "v": [None, np.ones(1)]})
+        a.grad, b.grad = np.array([1.0]), np.array([1.0])
+        opt.step()  # the None pair starts from zero moments
+        with pytest.raises(ValueError, match="moment 0"):
+            opt.load_state_dict({"step_count": 1, "m": [None, None], "v": [np.ones(1), None]})
