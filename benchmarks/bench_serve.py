@@ -96,14 +96,22 @@ def bench_micro(agent, requests, repeats: int, batch: int = 8) -> dict:
     chunk = requests[:batch]
     cells: dict = {}
     for name, use_plans in (("tape_forward", False), ("plan_forward", True)):
-        engine = PolicyEngine(state, use_plans=use_plans)
-        for __ in range(3):  # warm: builds + byte-validates the plan
-            engine.infer_batch(chunk)
-        before = engine.stats().get("plan_runs", 0)
-        start = time.perf_counter()
-        for __ in range(repeats):
-            engine.infer_batch(chunk)
-        mean = (time.perf_counter() - start) / repeats
+        engine = PolicyEngine(state)
+        saved = os.environ.pop("REPRO_NO_PLANS", None)
+        if not use_plans:
+            os.environ["REPRO_NO_PLANS"] = "1"  # the one tape switch
+        try:
+            for __ in range(3):  # warm: builds + byte-validates the plan
+                engine.infer_batch(chunk)
+            before = engine.stats().get("plan_runs", 0)
+            start = time.perf_counter()
+            for __ in range(repeats):
+                engine.infer_batch(chunk)
+            mean = (time.perf_counter() - start) / repeats
+        finally:
+            os.environ.pop("REPRO_NO_PLANS", None)
+            if saved is not None:
+                os.environ["REPRO_NO_PLANS"] = saved
         if use_plans:
             replayed = engine.stats()["plan_runs"] - before
             assert replayed == repeats, (

@@ -17,21 +17,21 @@ Usage::
 
 Observability toggles:
 
-* ``--sanitize`` (or ``REPRO_SANITIZE=1``) runs training/evaluation under
-  the runtime autograd sanitizer (NaN/dtype checks at every op boundary);
-* ``--trace-dir DIR`` (or ``REPRO_TRACE=1`` with optional
-  ``REPRO_TRACE_DIR``) records structured spans/events to
+* ``--sanitize`` runs training/evaluation under the runtime autograd
+  sanitizer (NaN/dtype checks at every op boundary);
+* ``--lockwatch`` runs it under the lock-order sanitizer;
+* ``--trace-dir DIR`` records structured spans/events to
   ``DIR/trace.jsonl``;
 * ``--profile`` wraps the run in the per-op autograd profiler and prints
-  the hot-spot table at the end (also ``REPRO_PROFILE=1``);
+  the hot-spot table at the end;
 * ``--dashboard N`` renders the ASCII live dashboard every N episodes;
-* ``--obs-port N`` (or ``REPRO_OBS_PORT``) serves ``/metrics``,
-  ``/metrics.json``, ``/trace/summary`` and ``/healthz`` over HTTP for
-  the duration of the run (``python -m repro obs serve`` for ad hoc use);
-* ``--flight-dir DIR`` (or ``REPRO_FLIGHT_DIR``) arms the crash flight
-  recorder: recent spans + metric snapshots are dumped as a post-mortem
-  bundle on worker death/quarantine (``python -m repro obs dump`` /
-  ``obs validate`` to trigger/check one by hand);
+* ``--obs-port N`` serves ``/metrics``, ``/metrics.json``,
+  ``/trace/summary`` and ``/healthz`` over HTTP for the duration of the
+  run (``python -m repro obs serve`` for ad hoc use);
+* ``--flight-dir DIR`` arms the crash flight recorder: recent spans +
+  metric snapshots are dumped as a post-mortem bundle on worker
+  death/quarantine (``python -m repro obs dump`` / ``obs validate`` to
+  trigger/check one by hand);
 * ``--no-federate`` turns off worker->chief metrics federation (metric
   deltas piggy-backed on replies, folded under worker/host labels).
 
@@ -63,25 +63,24 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--sanitize",
         action="store_true",
         help="run under the runtime autograd sanitizer (NaN/dtype checks at "
-        "every op boundary; also enabled by REPRO_SANITIZE=1)",
+        "every op boundary)",
     )
     parser.add_argument(
         "--trace-dir",
         default=None,
-        help="record structured spans/events to <dir>/trace.jsonl "
-        "(also enabled by REPRO_TRACE=1, directory from REPRO_TRACE_DIR)",
+        help="record structured spans/events to <dir>/trace.jsonl",
     )
     parser.add_argument(
         "--profile",
         action="store_true",
         help="profile per-op autograd wall time/FLOPs and print the "
-        "hot-spot table at the end (also enabled by REPRO_PROFILE=1)",
+        "hot-spot table at the end",
     )
     parser.add_argument(
         "--lockwatch",
         action="store_true",
         help="run under the lock-order sanitizer (SAN004 order-inversion / "
-        "SAN005 long-hold findings; also enabled by REPRO_LOCKWATCH=1)",
+        "SAN005 long-hold findings)",
     )
     parser.add_argument(
         "--obs-port",
@@ -89,16 +88,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PORT",
         help="serve /metrics, /metrics.json, /trace/summary and /healthz "
-        "on 127.0.0.1:PORT for the duration of the run (0 = OS-assigned; "
-        "also enabled by REPRO_OBS_PORT)",
+        "on 127.0.0.1:PORT for the duration of the run (0 = OS-assigned)",
     )
     parser.add_argument(
         "--flight-dir",
         default=None,
         metavar="DIR",
         help="arm the crash flight recorder: dump recent spans + metric "
-        "snapshots to DIR as a post-mortem bundle on crash/quarantine "
-        "(also enabled by REPRO_FLIGHT_DIR)",
+        "snapshots to DIR as a post-mortem bundle on crash/quarantine",
     )
     parser.add_argument(
         "--no-federate",
@@ -109,72 +106,61 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _maybe_sanitizer(args):
-    """An enabled Sanitizer when requested by flag or env var, else None."""
+    """An enabled Sanitizer when ``--sanitize`` asks for one, else None."""
     from .analysis import sanitizer as sanitizer_mod
 
-    if getattr(args, "sanitize", False) or sanitizer_mod.env_enabled():
+    if getattr(args, "sanitize", False):
         return sanitizer_mod.Sanitizer().enable()
     return None
 
 
 def _maybe_lockwatch(args):
-    """An enabled LockWatch when requested by flag or env var, else None.
+    """An enabled LockWatch when ``--lockwatch`` asks for one, else None.
 
     Enabled *before* the trainer is constructed so every lock the run
     allocates goes through the patched factories.
     """
     from .analysis import lockwatch as lockwatch_mod
 
-    if getattr(args, "lockwatch", False) or lockwatch_mod.env_enabled():
+    if getattr(args, "lockwatch", False):
         return lockwatch_mod.LockWatch(mode="record").enable()
     return None
 
 
 def _maybe_tracer(args):
-    """An installed Tracer when requested by flag or env var, else None."""
+    """An installed Tracer when ``--trace-dir`` names a directory, else None."""
     from .obs import trace as trace_mod
 
     trace_dir = getattr(args, "trace_dir", None)
-    if trace_dir is None and trace_mod.trace_env_enabled():
-        trace_dir = os.environ.get("REPRO_TRACE_DIR", "runs/trace")
     if trace_dir is None:
         return None
     return trace_mod.Tracer(trace_mod.trace_path_for(trace_dir)).install()
 
 
 def _maybe_profiler(args):
-    """An enabled OpProfiler when requested by flag or env var, else None."""
+    """An enabled OpProfiler when ``--profile`` asks for one, else None."""
     from .obs import profiler as profiler_mod
 
-    if getattr(args, "profile", False) or profiler_mod.profile_env_enabled():
+    if getattr(args, "profile", False):
         return profiler_mod.OpProfiler().enable()
     return None
 
 
 def _maybe_flight(args):
-    """An installed FlightRecorder when requested by flag or env, else None."""
+    """An installed FlightRecorder when ``--flight-dir`` names one, else None."""
     from .obs import flight as flight_mod
 
     flight_dir = getattr(args, "flight_dir", None)
-    if flight_dir is None:
-        flight_dir = os.environ.get("REPRO_FLIGHT_DIR") or None
     if flight_dir is None:
         return None
     return flight_mod.FlightRecorder(directory=flight_dir).install()
 
 
 def _maybe_server(args):
-    """A started ObsServer when requested by flag or env var, else None."""
+    """A started ObsServer when ``--obs-port`` names a port, else None."""
     from .obs import server as server_mod
 
     port = getattr(args, "obs_port", None)
-    if port is None:
-        raw = os.environ.get("REPRO_OBS_PORT")
-        if raw:
-            try:
-                port = int(raw)
-            except ValueError:
-                raise SystemExit(f"REPRO_OBS_PORT must be an integer, got {raw!r}")
     if port is None:
         return None
     server = server_mod.ObsServer(port=port).start()
@@ -562,13 +548,10 @@ def cmd_serve(args) -> int:
             return 1
         path = resolved
     state = load_network_state(path)
-    use_plans = not args.no_plan
     if args.workers > 0:
-        pool = ServeWorkerPool(
-            state, num_workers=args.workers, generation=1, use_plans=use_plans
-        )
+        pool = ServeWorkerPool(state, num_workers=args.workers, generation=1)
     else:
-        pool = InlinePool(state, generation=1, use_plans=use_plans)
+        pool = InlinePool(state, generation=1)
     server = InferenceServer(
         pool,
         host=args.host,
@@ -841,7 +824,6 @@ def _configure_serve(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--cache-size", type=int, default=1024, help="action-cache entries (0 disables)")
     parser.add_argument("--max-pending", type=int, default=64, help="admission bound before 503 load-shed")
-    parser.add_argument("--no-plan", action="store_true", help="serve from the tape (no forward plans)")
     parser.set_defaults(func=cmd_serve)
 
 

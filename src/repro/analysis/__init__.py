@@ -13,11 +13,10 @@ lock discipline) *enforced* instead of conventional:
   Run it with ``python -m repro lint``.
 * **runtime sanitizers** — :mod:`repro.analysis.sanitizer` (NaN/Inf and
   dtype checks at every autograd op boundary with op+module provenance,
-  plus a backward-graph leak detector; ``--sanitize`` /
-  ``REPRO_SANITIZE=1``) and :mod:`repro.analysis.lockwatch` (lock-order
-  inversion SAN004 and contended-long-hold SAN005 with acquisition-stack
-  provenance; ``--lockwatch`` / ``REPRO_LOCKWATCH=1``).  Both are
-  patch-on-enable with zero overhead when off.
+  plus a backward-graph leak detector; ``--sanitize``) and
+  :mod:`repro.analysis.lockwatch` (lock-order inversion SAN004 and
+  contended-long-hold SAN005 with acquisition-stack provenance;
+  ``--lockwatch``).  Both are patch-on-enable with zero overhead when off.
 """
 
 from .cache import DEFAULT_CACHE_DIR, LintCache, content_sha
@@ -50,7 +49,6 @@ from .sanitizer import (
     Sanitizer,
     SanitizerError,
     SanitizerFinding,
-    env_enabled,
     is_enabled,
 )
 
@@ -89,7 +87,6 @@ __all__ = [
     "Sanitizer",
     "SanitizerError",
     "SanitizerFinding",
-    "env_enabled",
     "is_enabled",
     # lockwatch
     "LockWatch",

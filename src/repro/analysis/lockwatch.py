@@ -29,7 +29,7 @@ its bookkeeping must not: call :func:`reset_after_fork` from the worker
 entrypoint (``_employee_worker_main`` does) to clear inherited held-sets
 and edges.
 
-Toggles: ``python -m repro train --lockwatch`` or ``REPRO_LOCKWATCH=1``.
+Toggle: ``python -m repro train --lockwatch``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "active",
     "disable",
     "enable",
-    "env_enabled",
     "is_enabled",
     "reset_after_fork",
 ]
@@ -89,17 +88,6 @@ class LockWatchError(RuntimeError):
     def __init__(self, finding: LockWatchFinding):
         super().__init__(finding.render())
         self.finding = finding
-
-
-def env_enabled(environ=None) -> bool:
-    """True when ``REPRO_LOCKWATCH`` requests watching (1/true/yes/on)."""
-    environ = os.environ if environ is None else environ
-    return str(environ.get("REPRO_LOCKWATCH", "")).strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
 
 
 def _capture_stack() -> str:

@@ -25,13 +25,12 @@ the original, unwrapped methods, so the off-state overhead is exactly
 zero.  Because the wrappers only *read* array values, a sanitized run is
 bitwise-identical to an unsanitized one.
 
-Toggles: ``python -m repro train --sanitize`` or ``REPRO_SANITIZE=1``.
+Toggle: ``python -m repro train --sanitize`` (also ``evaluate``).
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import sys
 import weakref
 from dataclasses import dataclass, field
@@ -49,7 +48,6 @@ __all__ = [
     "disable",
     "active",
     "is_enabled",
-    "env_enabled",
 ]
 
 _EXPECTED_DTYPE = np.float64
@@ -103,17 +101,6 @@ def _caller_module() -> str:
                 return name
         frame = frame.f_back
     return last
-
-
-def env_enabled(environ=None) -> bool:
-    """True when ``REPRO_SANITIZE`` requests sanitizing (1/true/yes/on)."""
-    environ = os.environ if environ is None else environ
-    return str(environ.get("REPRO_SANITIZE", "")).strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
 
 
 @dataclass

@@ -5,17 +5,18 @@ Three pillars, one package:
 * **tracing** (:mod:`repro.obs.trace`) — a :class:`Tracer` with nested
   ``span("explore", employee=i)`` context managers that record
   wall-clock durations to an in-memory ring buffer and an append-only,
-  schema-versioned JSONL file.  Installed via ``--trace-dir`` /
-  ``REPRO_TRACE=1``; the module-level :func:`span`/:func:`event`
-  helpers are no-ops when no tracer is installed.  Read back with
+  schema-versioned JSONL file.  Installed via ``--trace-dir``; the
+  module-level :func:`span`/:func:`event` helpers are no-ops when no
+  tracer is installed.  Read back with
   :func:`read_trace` / :func:`summarize_trace` or
   ``python -m repro trace summary``.
 * **metrics** (:mod:`repro.obs.metrics`) — a process-local
   :class:`MetricsRegistry` of counters/gauges/histograms with labeled
   series, exported as JSON or Prometheus text.  Always on: increments
   are deterministic locked adds, no clocks are read inside.
-* **autograd profiler** (:mod:`repro.obs.profiler`) — per-op wall
-  time/calls/FLOPs/bytes via the sanitizer's patch-on-enable /
+* **autograd profiler** (:mod:`repro.obs.profiler`) — wall
+  time/calls/FLOPs/bytes per op registry entry, by wrapping
+  ``Tensor._make`` under the sanitizer's patch-on-enable /
   restore-on-disable contract; ``python -m repro profile`` renders the
   hot-spot table.  Zero overhead and bitwise-identical results when
   off.
@@ -27,8 +28,9 @@ bitwise install/uninstall contract:
   metric *deltas* piggy-backed on replies; the chief folds them into the
   main registry under ``worker``/``host`` labels and maintains the
   ``repro_employee_lag_seconds`` straggler gauge.
-* **server** (:mod:`repro.obs.server`) — a stdlib ``http.server``
-  daemon-thread endpoint (``--obs-port`` / ``repro obs serve``) exposing
+* **server** (:mod:`repro.obs.server`) — the one stdlib ``http.server``
+  daemon-thread endpoint (``--obs-port`` / ``repro obs serve``, and
+  ``repro serve``'s HTTP door, which mounts its routes on it) exposing
   ``/metrics``, ``/metrics.json``, ``/trace/summary`` and ``/healthz``.
 * **flight recorder** (:mod:`repro.obs.flight`) — a bounded ring of
   recent spans + metric snapshots dumped as a post-mortem bundle
@@ -63,7 +65,7 @@ from .metrics import (
     get_registry,
     set_registry,
 )
-from .profiler import OpProfiler, OpStats, get_profiler, profile_env_enabled
+from .profiler import OpProfiler, OpStats, get_profiler
 from .server import PROMETHEUS_CONTENT_TYPE, ObsServer
 from .trace import (
     TRACE_FILENAME,
@@ -87,7 +89,6 @@ from .trace import (
     reset_after_fork,
     span,
     summarize_trace,
-    trace_env_enabled,
     trace_path_for,
     wall_clock,
 )
@@ -105,7 +106,6 @@ __all__ = [
     "record_span",
     "reset_after_fork",
     "get_tracer",
-    "trace_env_enabled",
     "trace_path_for",
     "read_trace",
     "build_span_tree",
@@ -145,7 +145,6 @@ __all__ = [
     "OpProfiler",
     "OpStats",
     "get_profiler",
-    "profile_env_enabled",
     # logging
     "get_logger",
     "configure_logging",

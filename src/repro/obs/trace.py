@@ -24,8 +24,7 @@ cheap no-ops while no tracer is installed — and because span bodies only
 *read* clocks, an instrumented run is bitwise-identical to an
 uninstrumented one (see DESIGN.md, "Observability").
 
-Toggles: ``python -m repro train --trace-dir DIR`` or ``REPRO_TRACE=1``
-(optionally with ``REPRO_TRACE_DIR``).
+Toggle: ``python -m repro train --trace-dir DIR``.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "record_span",
     "reset_after_fork",
     "get_tracer",
-    "trace_env_enabled",
     "trace_path_for",
     "read_trace",
     "build_span_tree",
@@ -83,17 +81,6 @@ _RECORD_TYPES = ("header", "span", "event")
 
 class TraceError(ValueError):
     """Raised when a trace file violates the JSONL schema."""
-
-
-def trace_env_enabled(environ=None) -> bool:
-    """True when ``REPRO_TRACE`` requests tracing (1/true/yes/on)."""
-    environ = os.environ if environ is None else environ
-    return str(environ.get("REPRO_TRACE", "")).strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
 
 
 def trace_path_for(trace_dir: str) -> str:

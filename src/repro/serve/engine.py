@@ -17,8 +17,9 @@ so clients can reproduce any served action offline.  Nothing loops over
 rows in Python.
 
 The forward runs under :class:`repro.nn.no_grad` through a
-:class:`repro.nn.ForwardPlanner` — one plan per batch-size signature,
-byte-validated against the tape on first capture.  Hot reload is
+:class:`repro.nn.ForwardPlanner` — one plan per batch-size signature (up
+to :data:`MAX_PLANS`), byte-validated against the tape on first capture;
+``REPRO_NO_PLANS=1`` serves every batch from the tape.  Hot reload is
 ``load_state_dict`` (in-place ``param.data[...] =``), which compiled
 plans observe automatically because replay reads parameter ``.data``
 per call.
@@ -54,6 +55,10 @@ __all__ = [
 ]
 
 _NETWORK_PREFIX = "agent.network."
+
+#: Forward plans kept per engine, one per batch size; a batch size past
+#: the cap runs on the tape.
+MAX_PLANS = 32
 
 
 def load_network_state(path: os.PathLike, verify: bool = True) -> Dict[str, np.ndarray]:
@@ -159,53 +164,28 @@ class PolicyEngine:
         Network state dict (from :func:`load_network_state`).
     generation:
         Monotonic checkpoint-generation stamp attached to every result.
-    use_plans:
-        Capture forward-only execution plans (one per batch-size
-        signature); falls back to the tape whenever
-        ``fast_path_allowed(forward_only=True)`` refuses.
+
+    The forward replays execution plans (:data:`MAX_PLANS` batch sizes)
+    and falls back to the tape whenever
+    ``fast_path_allowed(forward_only=True)`` refuses — under
+    ``REPRO_NO_PLANS=1`` or an installed instrument.
     """
 
-    def __init__(
-        self,
-        state: Dict[str, np.ndarray],
-        generation: int = 0,
-        use_plans: bool = True,
-        max_plans: int = 32,
-        grid: Optional[int] = None,
-    ):
+    def __init__(self, state: Dict[str, np.ndarray], generation: int = 0):
         self._geometry = _state_geometry(state)
         # The grid is ambiguous from the state dict alone (see
         # _state_geometry), so the network is built lazily from the first
-        # request's state shape unless a grid is given up front.
-        self.network: Optional[CNNActorCritic] = (
-            network_from_state(state, grid) if grid is not None else None
-        )
-        self._pending_state: Optional[Dict[str, np.ndarray]] = (
-            None if grid is not None else state
-        )
+        # request's state shape.
+        self.network: Optional[CNNActorCritic] = None
+        self._pending_state: Optional[Dict[str, np.ndarray]] = state
         self.generation = int(generation)
         self._planner: Optional[nn.ForwardPlanner] = None
-        self._use_plans = bool(use_plans)
-        self._max_plans = int(max_plans)
-        if self.network is not None:
-            self._attach_planner()
         self.batches = 0
         self.rows = 0
 
-    def _attach_planner(self) -> None:
-        if self._use_plans:
-            self._planner = nn.ForwardPlanner(
-                self.network.forward_rows, name="serve", max_plans=self._max_plans
-            )
-
     def _forward(self, inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
         with nn.no_grad():
-            if self._planner is not None:
-                return self._planner.step(inputs)
-            return {
-                name: tensor.data
-                for name, tensor in self.network.forward_rows(inputs).items()
-            }
+            return self._planner.step(inputs)
 
     # ------------------------------------------------------------------
     # Public API
@@ -220,7 +200,9 @@ class PolicyEngine:
         except CheckpointCorruptError as error:
             raise RequestError(str(error))
         self._pending_state = None
-        self._attach_planner()
+        self._planner = nn.ForwardPlanner(
+            self.network.forward_rows, name="serve", max_plans=MAX_PLANS
+        )
 
     def _check_geometry(self, request: InferRequest) -> None:
         net = self.network

@@ -61,10 +61,8 @@ class WorkerCrashed(RuntimeError):
 class InlinePool:
     """Single-process engine behind the pool interface (workers=0)."""
 
-    def __init__(self, state: Dict[str, np.ndarray], generation: int = 1,
-                 use_plans: bool = True):
-        self._engine = PolicyEngine(state, generation=generation,
-                                    use_plans=use_plans)
+    def __init__(self, state: Dict[str, np.ndarray], generation: int = 1):
+        self._engine = PolicyEngine(state, generation=generation)
         self.size = 0
 
     @property
@@ -104,7 +102,6 @@ class _WorkerSpec:
     index: int
     state: Dict[str, np.ndarray]
     generation: int
-    use_plans: bool
     slab: str
     shapes: Tuple[Tuple[int, ...], ...]
     keys: Tuple[str, ...]
@@ -115,9 +112,7 @@ def _serve_worker_main(spec: _WorkerSpec, conn) -> None:
     _trace_reset_after_fork()
     _lockwatch_reset_after_fork()
     _flight_reset_after_fork()
-    engine = PolicyEngine(
-        spec.state, generation=spec.generation, use_plans=spec.use_plans
-    )
+    engine = PolicyEngine(spec.state, generation=spec.generation)
     slab = TensorSlab.attach(spec.slab, spec.shapes)
     try:
         while True:
@@ -194,7 +189,6 @@ class ServeWorkerPool:
         state: Dict[str, np.ndarray],
         num_workers: int,
         generation: int = 1,
-        use_plans: bool = True,
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -224,7 +218,6 @@ class ServeWorkerPool:
                 index=index,
                 state=spec_state,
                 generation=self.generation,
-                use_plans=use_plans,
                 slab=self._slab.name,
                 shapes=shapes,
                 keys=keys,

@@ -11,10 +11,14 @@ Front doors
   socket write and one client wake-up; the read loop waits on
   ``drain()`` between chunks, so a client that stops reading its
   replies stops being read.
-* **JSON/HTTP** (thin): a ``ThreadingHTTPServer`` on a daemon thread in
-  the :mod:`repro.obs.server` style.  ``POST /infer`` bridges into the
-  event loop with ``run_coroutine_threadsafe``; ``GET /metrics`` exposes
-  the Prometheus registry; ``POST /-/reload`` hot-swaps the checkpoint.
+* **JSON/HTTP** (thin): the program's one HTTP server,
+  :class:`repro.obs.server.ObsServer`, with this server's routes mounted
+  on it.  ``POST /infer`` bridges into the event loop with
+  ``run_coroutine_threadsafe``; ``POST /-/reload`` hot-swaps the
+  checkpoint; ``GET /info`` reports generation, cache and batcher
+  counters.  The obs routes come with it: ``/metrics`` and
+  ``/metrics.json`` expose this server's registry, ``/trace/summary`` the
+  active tracer, ``/healthz`` the fleet report.
 
 Request path: LRU cache (pure in-loop CPU, no await) → micro-batcher
 (admission control; raises :class:`Overloaded` → 503 reject) → worker
@@ -35,11 +39,8 @@ old generation tag, and are refused by the cache — a stale action can be
 from __future__ import annotations
 
 import asyncio
-import json
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -51,7 +52,7 @@ from ..distributed.transport.framing import (
 )
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.server import PROMETHEUS_CONTENT_TYPE
+from ..obs.server import ObsServer
 from .batcher import MicroBatcher
 from .cache import ActionCache
 from .engine import load_network_state
@@ -87,6 +88,11 @@ _BATCH_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 #: How long a closing connection may take to flush what it is owed before
 #: its transport is aborted (bounds ``stop()`` against a non-reading peer).
 _CLOSE_TIMEOUT_S = 1.0
+
+#: How long an HTTP ``/infer`` or ``/-/reload`` waits on the event loop
+#: before the request is cancelled and answered with a 500.
+_INFER_TIMEOUT_S = 60.0
+_RELOAD_TIMEOUT_S = 300.0
 
 
 class InferenceServer:
@@ -146,8 +152,7 @@ class InferenceServer:
         )
         self._geometry: Optional[Tuple[Tuple[int, ...], int]] = None
         self._server: Optional[asyncio.base_events.Server] = None
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._http_thread: Optional[threading.Thread] = None
+        self._http: Optional[ObsServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._conn_tasks: set = set()
         self._reload_lock = asyncio.Lock()
@@ -195,20 +200,22 @@ class InferenceServer:
             self._serve_conn, self._host, self._port_requested
         )
         if self._http_requested is not None:
-            httpd = ThreadingHTTPServer(self._http_requested, _HttpHandler)
-            httpd.daemon_threads = True
-            httpd.serve_server = self  # type: ignore[attr-defined]
-            thread = threading.Thread(
-                target=httpd.serve_forever, name="repro-serve-http", daemon=True
-            )
-            thread.start()
-            self._httpd = httpd
-            self._http_thread = thread
+            host, port = self._http_requested
+            self._http = ObsServer(
+                port=port,
+                host=host,
+                registry=self._registry,
+                routes={
+                    ("POST", "/infer"): self._http_infer,
+                    ("POST", "/-/reload"): self._http_reload,
+                    ("GET", "/info"): lambda __: (200, self.info(), {}),
+                },
+            ).start()
         _LOG.info(
             "serving on tcp://%s:%d%s (generation %d, %s)",
             self._host,
             self.port,
-            f" + http://{self.http_address}" if self._httpd else "",
+            f" + http://{self.http_address}" if self._http else "",
             self.generation,
             f"{self._pool.size} workers" if self._pool.size else "inline",
         )
@@ -222,10 +229,7 @@ class InferenceServer:
 
     @property
     def http_address(self) -> Optional[str]:
-        if self._httpd is None:
-            return None
-        host, port = self._httpd.server_address[:2]
-        return f"{host}:{port}"
+        return None if self._http is None else self._http.netloc
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -243,21 +247,11 @@ class InferenceServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         await self._batcher.close()
-        httpd, thread = self._httpd, self._http_thread
-        self._httpd = None
-        self._http_thread = None
-        if httpd is not None:
-            # shutdown() blocks until the serve loop exits: off-loop.
-            await asyncio.get_running_loop().run_in_executor(
-                None, httpd.shutdown
-            )
-            httpd.server_close()
-        if thread is not None:
-            # join() can wait the full timeout for a wedged handler
-            # thread: another loop-blocker to keep on an executor.
-            await asyncio.get_running_loop().run_in_executor(
-                None, lambda: thread.join(timeout=5.0)
-            )
+        http, self._http = self._http, None
+        if http is not None:
+            # stop() blocks until the serve loop exits and joins its
+            # thread: off-loop.
+            await asyncio.get_running_loop().run_in_executor(None, http.stop)
         await asyncio.get_running_loop().run_in_executor(
             None, self._pool.shutdown
         )
@@ -340,6 +334,57 @@ class InferenceServer:
             "cache": self.cache.stats(),
             "batcher": self._batcher.stats(),
         }
+
+    # ------------------------------------------------------------------
+    # JSON/HTTP routes (run on the HTTP server's threads, not the loop)
+    # ------------------------------------------------------------------
+    def _run(self, coroutine, timeout: float):
+        """Bridge a coroutine into the event loop from an HTTP thread.
+
+        A coroutine that has not answered within ``timeout`` seconds is
+        cancelled, so an abandoned request stops holding batcher and
+        pool capacity, and a :class:`TimeoutError` naming the wait is
+        raised.
+        """
+        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
+        try:
+            return future.result(timeout)
+        except TimeoutError:
+            future.cancel()
+            raise TimeoutError(f"no answer within {timeout:g} s") from None
+
+    def _http_infer(self, body) -> Tuple[int, Dict, Dict[str, str]]:
+        try:
+            result = self._run(
+                self.answer(request_from_json(body)), timeout=_INFER_TIMEOUT_S
+            )
+        except RequestError as error:
+            return 400, {"error": str(error)}, {}
+        except Overloaded as error:
+            reply = {
+                "error": "overloaded",
+                "queue_depth": error.queue_depth,
+                "retry_after": error.retry_after,
+            }
+            return 503, reply, {"Retry-After": f"{error.retry_after:.3f}"}
+        except Exception as error:
+            # Answered like the TCP door answers it: an error reply, and
+            # the request counted, never a dropped connection.
+            _LOG.warning("serve request failed", exc_info=True)
+            self._m_requests.labels(outcome="error").inc()
+            return 500, {"error": f"internal error: {error}"}, {}
+        return 200, result_to_json(result), {}
+
+    def _http_reload(self, body) -> Tuple[int, Dict, Dict[str, str]]:
+        if not isinstance(body, dict) or "checkpoint" not in body:
+            return 400, {"error": "body must carry 'checkpoint'"}, {}
+        try:
+            generation = self._run(
+                self.reload_checkpoint(body["checkpoint"]), timeout=_RELOAD_TIMEOUT_S
+            )
+        except Exception as error:
+            return 500, {"error": str(error)}, {}
+        return 200, {"generation": generation}, {}
 
     # ------------------------------------------------------------------
     # Framed-TCP front door
@@ -442,99 +487,6 @@ class _Outbox:
         # transport would only make asyncio log "socket.send() raised".
         if frames and not self._writer.transport.is_closing():
             self._writer.writelines(frames)
-
-
-class _HttpHandler(BaseHTTPRequestHandler):
-    """The JSON front door (runs on HTTP server threads, not the loop)."""
-
-    server_version = "repro-serve/1"
-
-    def _send(self, status: int, content_type: str, body: str,
-              headers: Optional[Dict[str, str]] = None) -> None:
-        payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _send_json(
-        self, status: int, obj, headers: Optional[Dict[str, str]] = None
-    ) -> None:
-        self._send(status, "application/json", json.dumps(obj), headers)
-
-    @property
-    def _serve(self) -> InferenceServer:
-        return self.server.serve_server  # type: ignore[attr-defined]
-
-    def _run(self, coroutine, timeout: float = 60.0):
-        """Bridge a coroutine into the event loop from this thread."""
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._serve._loop)
-        return future.result(timeout=timeout)
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        path = self.path.split("?", 1)[0]
-        if path == "/metrics":
-            self._send(
-                200,
-                PROMETHEUS_CONTENT_TYPE,
-                self._serve._registry.render_prometheus(),
-            )
-        elif path == "/healthz":
-            self._send_json(
-                200, {"status": "ok", "generation": self._serve.generation}
-            )
-        elif path == "/info":
-            self._send_json(200, self._serve.info())
-        else:
-            self._send_json(404, {"error": "not found"})
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        path = self.path.split("?", 1)[0]
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, OSError) as error:
-            self._send_json(400, {"error": f"bad request body: {error}"})
-            return
-        if path == "/infer":
-            try:
-                request = request_from_json(body)
-                result = self._run(self._serve.answer(request))
-            except RequestError as error:
-                self._send_json(400, {"error": str(error)})
-            except Overloaded as error:
-                self._send_json(
-                    503,
-                    {
-                        "error": "overloaded",
-                        "queue_depth": error.queue_depth,
-                        "retry_after": error.retry_after,
-                    },
-                    headers={"Retry-After": f"{error.retry_after:.3f}"},
-                )
-            else:
-                self._send_json(200, result_to_json(result))
-        elif path == "/-/reload":
-            try:
-                checkpoint = body["checkpoint"]
-                generation = self._run(
-                    self._serve.reload_checkpoint(checkpoint), timeout=300.0
-                )
-            except KeyError:
-                self._send_json(400, {"error": "body must carry 'checkpoint'"})
-            except Exception as error:
-                self._send_json(500, {"error": str(error)})
-            else:
-                self._send_json(200, {"generation": generation})
-        else:
-            self._send_json(404, {"error": "not found"})
-
-    def log_message(self, format: str, *args) -> None:
-        """Silence the default stderr access log (CLI output stays clean)."""
-        return None
 
 
 class ServeClient:

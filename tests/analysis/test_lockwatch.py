@@ -63,12 +63,6 @@ class TestPatching:
         assert watch.stats["acquires"] == acquires_before
         watch.enable()  # fixture teardown expects it enabled
 
-    def test_env_toggle(self):
-        assert lockwatch_mod.env_enabled({"REPRO_LOCKWATCH": "1"})
-        assert lockwatch_mod.env_enabled({"REPRO_LOCKWATCH": "yes"})
-        assert not lockwatch_mod.env_enabled({"REPRO_LOCKWATCH": "0"})
-        assert not lockwatch_mod.env_enabled({})
-
 
 class TestOrderInversion:
     def _establish_a_then_b(self, lock_a, lock_b):

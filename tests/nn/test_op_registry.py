@@ -10,6 +10,8 @@ signature.  A central finite difference checks the tape's gradient.
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.experiments.scales import get_scale
 from repro.experiments.training import make_ppo_config, make_train_config
 from repro.nn import functional as F
 from repro.nn.tensor import OPS, Tensor
+from repro.obs import OpProfiler
 
 BATCHES = (1, 3)
 
@@ -218,12 +221,16 @@ def test_entry_plans_byte_equal_to_the_tape(name, batch):
 @pytest.mark.parametrize("method", ["cews", "dppo", "edics"])
 def test_every_op_of_a_smoke_episode_is_a_registry_entry(method, monkeypatch):
     """Wrapping ``_make`` sends every step to the tape, so the wrapper
-    sees each op of one whole episode, update included."""
+    sees each op of one whole episode, update included — and so does the
+    profiler, whose table has one row per entry called (with its call
+    count) plus ``backward``, and no row for a composite like ``linear``."""
     seen = {}
+    calls = collections.Counter()
     make = Tensor.__dict__["_make"].__func__
 
     def recording_make(op, parents, **attrs):
         seen[op.name] = op
+        calls[op.name] += 1
         return make(op, parents, **attrs)
 
     monkeypatch.setattr(Tensor, "_make", staticmethod(recording_make))
@@ -234,9 +241,14 @@ def test_every_op_of_a_smoke_episode_is_a_registry_entry(method, monkeypatch):
         ppo=make_ppo_config(scale), seed=0,
     )
     try:
-        trainer.train(1)
+        with OpProfiler() as profiler:
+            trainer.train(1)
     finally:
         trainer.close()
     assert seen
     for name, op in seen.items():
         assert OPS.get(name) is op, name
+    rows = {stats.name: stats.calls for stats in profiler.hotspots()}
+    assert rows.pop("backward") > 0
+    assert rows == dict(calls)
+    assert "concat" in rows

@@ -15,7 +15,6 @@ from repro.obs import (
     render_trace_summary,
     span,
     summarize_trace,
-    trace_env_enabled,
     trace_path_for,
 )
 
@@ -137,12 +136,6 @@ class TestModuleHelpers:
         inner = next(r for r in tracer.ring if r["name"] == "inner")
         outer = next(r for r in tracer.ring if r["name"] == "outer")
         assert inner["parent"] == outer["id"]
-
-    def test_env_toggle(self):
-        assert trace_env_enabled({"REPRO_TRACE": "1"})
-        assert trace_env_enabled({"REPRO_TRACE": "true"})
-        assert not trace_env_enabled({"REPRO_TRACE": "0"})
-        assert not trace_env_enabled({})
 
 
 class TestValidation:

@@ -42,20 +42,32 @@ def cases(tiny_config, agent):
     return capture_cases(env, agent, 6, seeds=[None, 11, None, 7, 11, None])
 
 
+def select_path(monkeypatch, use_plans):
+    """``REPRO_NO_PLANS=1`` is the one switch that serves from the tape."""
+    if use_plans:
+        monkeypatch.delenv("REPRO_NO_PLANS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_NO_PLANS", "1")
+
+
 class TestBatchParity:
     @pytest.mark.parametrize("use_plans", [False, True], ids=["tape", "plans"])
     def test_stacked_rows_match_offline_act_full(
-        self, network_state, cases, use_plans
+        self, network_state, cases, use_plans, monkeypatch
     ):
-        engine = PolicyEngine(network_state, use_plans=use_plans)
+        select_path(monkeypatch, use_plans)
+        engine = PolicyEngine(network_state)
         results = engine.infer_batch([request for request, __ in cases])
         assert len(results) == len(cases)
         for result, (__, expected) in zip(results, cases):
             assert_bitwise(result, expected)
 
     @pytest.mark.parametrize("use_plans", [False, True], ids=["tape", "plans"])
-    def test_stacked_matches_per_row_singles(self, network_state, cases, use_plans):
-        engine = PolicyEngine(network_state, use_plans=use_plans)
+    def test_stacked_matches_per_row_singles(
+        self, network_state, cases, use_plans, monkeypatch
+    ):
+        select_path(monkeypatch, use_plans)
+        engine = PolicyEngine(network_state)
         stacked = engine.infer_batch([request for request, __ in cases])
         for (request, __), batched in zip(cases, stacked):
             [single] = engine.infer_batch([request])
@@ -65,7 +77,7 @@ class TestBatchParity:
             assert single.value == batched.value
 
     def test_plan_path_actually_replays(self, network_state, cases):
-        engine = PolicyEngine(network_state, use_plans=True)
+        engine = PolicyEngine(network_state)
         batch = [request for request, __ in cases]
         engine.infer_batch(batch)  # build + validate
         engine.infer_batch(batch)  # replay
@@ -73,20 +85,26 @@ class TestBatchParity:
         assert stats["plan_runs"] >= 1
         assert stats["validation_failed"] == 0
 
-    def test_plan_and_tape_agree_bitwise(self, network_state, cases):
-        planned = PolicyEngine(network_state, use_plans=True)
-        taped = PolicyEngine(network_state, use_plans=False)
+    def test_plan_and_tape_agree_bitwise(self, network_state, cases, monkeypatch):
+        planned = PolicyEngine(network_state)
+        taped = PolicyEngine(network_state)
         batch = [request for request, __ in cases]
         planned.infer_batch(batch)  # warm the plan cache
-        for a, b in zip(planned.infer_batch(batch), taped.infer_batch(batch)):
+        replayed = planned.infer_batch(batch)
+        assert planned.stats()["plan_runs"] >= 1
+        select_path(monkeypatch, use_plans=False)
+        from_tape = taped.infer_batch(batch)
+        assert taped.stats()["plan_runs"] == 0 and taped.stats()["tape_runs"] >= 1
+        for a, b in zip(replayed, from_tape):
             assert np.array_equal(a.moves, b.moves)
             assert np.array_equal(a.charges, b.charges)
             assert a.log_prob == b.log_prob
             assert a.value == b.value
 
-    def test_every_batch_size_matches_singles(self, network_state, cases):
+    def test_every_batch_size_matches_singles(self, network_state, cases, monkeypatch):
         """Parity holds for every prefix length, not just one size."""
-        engine = PolicyEngine(network_state, use_plans=False)
+        select_path(monkeypatch, use_plans=False)
+        engine = PolicyEngine(network_state)
         batch = [request for request, __ in cases]
         singles = [engine.infer_batch([request])[0] for request in batch]
         for size in range(2, len(batch) + 1):

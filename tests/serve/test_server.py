@@ -27,6 +27,7 @@ from repro.distributed.transport.framing import (
 )
 from repro.env import CrowdsensingEnv
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.server import MAX_BODY_BYTES
 from repro.serve import (
     InferenceServer,
     InferRequest,
@@ -35,6 +36,7 @@ from repro.serve import (
     PolicyEngine,
     ServeClient,
     ServeWorkerPool,
+    WorkerCrashed,
 )
 from repro.serve.protocol import (
     decode_message,
@@ -466,6 +468,88 @@ class TestHttpFrontDoor:
                 harness.http("/infer", {"state": [[1.0]]})
             assert caught.value.code == 400
 
+    @pytest.mark.parametrize(
+        "length, status",
+        [("-1", 400), ("ten", 400), (str(MAX_BODY_BYTES + 1), 413), (str(10**12), 413)],
+    )
+    def test_content_length_is_checked_before_the_body_is_read(
+        self, network_state, length, status
+    ):
+        """A header-only POST: a negative length must not read to EOF
+        and a huge one must not allocate — both are answered at once."""
+        pool = InlinePool(network_state, generation=1)
+        with ServerThread(pool) as harness:
+            host, port = harness.server.http_address.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=3.0) as sock:
+                sock.sendall(
+                    f"POST /infer HTTP/1.1\r\nHost: {host}\r\n"
+                    f"Content-Length: {length}\r\n\r\n".encode()
+                )
+                reply = b""
+                while b"\r\n" not in reply:
+                    chunk = sock.recv(4096)  # socket.timeout if no answer
+                    if not chunk:
+                        break
+                    reply += chunk
+        assert reply.split(b"\r\n", 1)[0].split()[1:2] == [str(status).encode()]
+
+    def test_internal_error_is_a_500_and_counted(self, network_state, cases):
+        """A failure past admission answers like the TCP door does — an
+        error reply and ``outcome="error"`` — not a dropped connection."""
+        import urllib.error
+
+        from repro.serve.protocol import request_to_json
+
+        class CrashedPool(InlinePool):
+            def infer(self, requests):
+                raise WorkerCrashed("serve worker 0 died mid-infer")
+
+        registry = MetricsRegistry()
+        request, __ = cases[0]
+        pool = CrashedPool(network_state, generation=1)
+        with ServerThread(pool, registry=registry) as harness:
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                harness.http("/infer", request_to_json(request))
+            assert caught.value.code == 500
+            answer = json.loads(caught.value.read())
+        assert answer == {"error": "internal error: serve worker 0 died mid-infer"}
+        series = registry.get("repro_serve_requests_total").snapshot()["series"]
+        assert series == {'repro_serve_requests_total{outcome="error"}': 1.0}
+
+
+    def test_timed_out_infer_is_cancelled_and_named(
+        self, network_state, cases, monkeypatch
+    ):
+        """A request the loop has not answered in time gets a 500 that
+        names the wait, and its coroutine is cancelled, not abandoned."""
+        import urllib.error
+
+        from repro.serve import server as server_module
+        from repro.serve.protocol import request_to_json
+
+        cancelled = threading.Event()
+
+        class StuckServer(InferenceServer):
+            async def answer(self, request):
+                try:
+                    await asyncio.sleep(30)
+                except asyncio.CancelledError:
+                    cancelled.set()
+                    raise
+
+        monkeypatch.setattr(server_module, "_INFER_TIMEOUT_S", 0.2)
+        registry = MetricsRegistry()
+        request, __ = cases[0]
+        pool = InlinePool(network_state, generation=1)
+        with ServerThread(pool, server_cls=StuckServer, registry=registry) as harness:
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                harness.http("/infer", request_to_json(request))
+            assert caught.value.code == 500
+            answer = json.loads(caught.value.read())
+            assert cancelled.wait(timeout=5)
+        assert answer == {"error": "internal error: no answer within 0.2 s"}
+        series = registry.get("repro_serve_requests_total").snapshot()["series"]
+        assert series == {'repro_serve_requests_total{outcome="error"}': 1.0}
 
 class TestBackpressure:
     def test_overload_sheds_with_retry_after(self, network_state, cases):
