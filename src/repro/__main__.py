@@ -18,7 +18,8 @@ Usage::
 Observability toggles:
 
 * ``--sanitize`` runs training/evaluation under the runtime autograd
-  sanitizer (NaN/dtype checks at every op boundary);
+  sanitizer (NaN/dtype checks at every op boundary; ``train`` accepts it
+  on ``--backend serial`` only, as it does ``--profile``);
 * ``--lockwatch`` runs it under the lock-order sanitizer;
 * ``--trace-dir DIR`` records structured spans/events to
   ``DIR/trace.jsonl``;
@@ -278,6 +279,16 @@ def _build_trainer(args, episodes=None):
 # ----------------------------------------------------------------------
 def cmd_train(args) -> int:
     import signal
+
+    if args.backend != "serial" and (args.profile or args.sanitize):
+        # Employees run in forked children on the other backends, so an
+        # instrument enabled here would see none of their ops.
+        print(
+            "python -m repro train: error: --profile and --sanitize see only "
+            "this process's ops; use them with --backend serial",
+            file=sys.stderr,
+        )
+        return 2
 
     from .analysis import SanitizerError
     from .distributed import save_checkpoint

@@ -214,9 +214,8 @@ class CNNActorCritic(nn.Module):
             feature_dim, num_workers, rng=rng, weight_init="orthogonal", gain=0.01
         )
         # Start with a low charge probability (~12%) so untrained workers
-        # explore instead of idling at stations half the time.  Init-time
-        # write before any graph exists, so the tape cannot be stale.
-        self.charge_head.bias.data[...] = -2.0  # reprolint: disable=RPL003
+        # explore instead of idling at stations half the time.
+        self.charge_head.bias.data[...] = -2.0
         self.value_head = nn.Linear(
             feature_dim, 1, rng=rng, weight_init="orthogonal", gain=1.0
         )

@@ -1,25 +1,16 @@
 """`python -m repro lint` — the reprolint command-line front end.
 
 Exit codes: 0 (clean), 1 (findings), 2 (usage/IO error).
+
+Building the parser imports nothing but this module: the engine and
+its rules load inside :func:`run`, so ``python -m repro train`` (whose
+parser embeds this one) never pays for the linter.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import List, Optional, Sequence
-
-from .cache import DEFAULT_CACHE_DIR, LintCache
-from .engine import (
-    DEFAULT_EXCLUDED_DIRS,
-    _selected_rules,
-    iter_python_files,
-    lint_source,
-)
-from .findings import Finding
-from .program import PROGRAM_RULES, analyze_files, program_rule_table
-from .reporters import render_json, render_sarif, render_text
-from .rules import RULES, rule_table
+from typing import Optional, Sequence
 
 __all__ = ["build_parser", "main"]
 
@@ -41,160 +32,35 @@ def build_parser(parser: Optional[argparse.ArgumentParser] = None) -> argparse.A
     )
     parser.add_argument(
         "--format",
-        "--output",
-        dest="format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help="report format (json is what CI consumes; sarif feeds code scanning)",
-    )
-    parser.add_argument(
-        "--sarif",
-        action="store_true",
-        help="shorthand for --format sarif",
-    )
-    parser.add_argument(
-        "--program",
-        action="store_true",
-        help=(
-            "also run the whole-program pass (RPL013-RPL016: cross-module "
-            "call graph, lock-order cycles, RNG provenance, fork "
-            "reachability, blocking-under-lock)"
-        ),
-    )
-    parser.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore",
-        default=None,
-        help="comma-separated rule codes to skip",
-    )
-    parser.add_argument(
-        "--exclude-dir",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help=f"directory names to skip (default: {', '.join(DEFAULT_EXCLUDED_DIRS)})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help=f"bypass the content-addressed cache under {DEFAULT_CACHE_DIR}/",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help="cache directory (default: %(default)s)",
+        help="report format (json is what CI consumes)",
     )
     parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="print the rule table (per-file + whole-program) and exit",
+        help="print the rule table and exit",
     )
     return parser
 
 
-def _split_codes(value: Optional[str]) -> Optional[List[str]]:
-    if value is None:
-        return None
-    return [code.strip().upper() for code in value.split(",") if code.strip()]
-
-
-def _validate_codes(codes: Optional[List[str]]) -> None:
-    if not codes:
-        return
-    known = set(RULES) | set(PROGRAM_RULES)
-    unknown = set(codes) - known
-    if unknown:
-        raise ValueError(f"unknown rule code(s): {sorted(unknown)}")
-
-
-def _engine_codes(codes: Optional[List[str]], registry) -> Optional[List[str]]:
-    """Restrict a validated code list to the codes one engine owns."""
-    if codes is None:
-        return None
-    return [code for code in codes if code in registry]
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute a parsed lint invocation."""
+    from .engine import lint_paths
+    from .reporters import render_json, render_text
+    from .rules import rule_table
+
     if args.list_rules:
-        for code, name, description in rule_table() + program_rule_table():
+        for code, name, description in rule_table():
             print(f"{code}  {name:24s} {description}")
         return 0
-    excluded = (
-        tuple(args.exclude_dir) if args.exclude_dir else DEFAULT_EXCLUDED_DIRS
-    )
-    output = "sarif" if getattr(args, "sarif", False) else args.format
-    cache = None if args.no_cache else LintCache(args.cache_dir)
     try:
-        select = _split_codes(args.select)
-        ignore = _split_codes(args.ignore)
-        _validate_codes(select)
-        _validate_codes(ignore)
-        findings: List[Finding] = []
-        files = []
-        for path in iter_python_files(args.paths, excluded_dirs=excluded):
-            with open(path, "r", encoding="utf-8") as handle:
-                files.append((path, handle.read()))
-        file_select = _engine_codes(select, RULES)
-        file_ignore = _engine_codes(ignore, RULES)
-        if file_select is None or file_select:
-            per_file_codes = _selected_rules(file_select, file_ignore)
-            for path, source in files:
-                if cache is not None:
-                    key = cache.file_key(path, source, per_file_codes)
-                    cached = cache.get(key)
-                    if cached is not None:
-                        findings.extend(cached)
-                        continue
-                file_findings = lint_source(
-                    source, path, select=file_select, ignore=file_ignore
-                )
-                if cache is not None:
-                    cache.put(key, file_findings)
-                findings.extend(file_findings)
-        if args.program:
-            prog_select = _engine_codes(select, PROGRAM_RULES)
-            prog_ignore = _engine_codes(ignore, PROGRAM_RULES)
-            if prog_select is None or prog_select:
-                prog_codes = [
-                    code
-                    for code in sorted(PROGRAM_RULES)
-                    if (prog_select is None or code in prog_select)
-                    and (not prog_ignore or code not in prog_ignore)
-                ]
-                prog_findings = None
-                if cache is not None:
-                    prog_key = cache.program_key(files, prog_codes)
-                    prog_findings = cache.get(prog_key)
-                if prog_findings is None:
-                    prog_findings = analyze_files(
-                        files, select=prog_select, ignore=prog_ignore
-                    )
-                    if cache is not None:
-                        cache.put(prog_key, prog_findings)
-                findings.extend(prog_findings)
-        findings.sort(key=Finding.sort_key)
-    except (FileNotFoundError, ValueError) as error:
+        findings = lint_paths(args.paths)
+    except FileNotFoundError as error:
         print(f"reprolint: error: {error}")
         return 2
-    if cache is not None:
-        # Stderr so json/sarif stdout stays parseable; CI asserts the
-        # warm run misses zero keys (cache *behavior*, not wall time).
-        print(
-            f"reprolint: cache {cache.hits} hit(s), {cache.misses} miss(es)",
-            file=sys.stderr,
-        )
-    if output == "json":
-        print(render_json(findings))
-    elif output == "sarif":
-        print(render_sarif(findings, rules=rule_table() + program_rule_table()))
-    else:
-        print(render_text(findings))
+    render = render_json if args.format == "json" else render_text
+    print(render(findings))
     return 1 if findings else 0
 
 

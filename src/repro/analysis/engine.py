@@ -1,15 +1,15 @@
 """The ``reprolint`` driver: file discovery, suppression handling, rule runs.
 
 The engine is deliberately dependency-free (stdlib ``ast`` + ``re``): it
-parses each file once, runs every selected rule from
-:mod:`repro.analysis.rules` over the tree, then drops findings covered by
+parses each file once, runs every rule from :mod:`repro.analysis.rules`
+over the tree, then drops findings covered by
 ``# reprolint: disable=RPLxxx`` comments.
 
 Suppression semantics:
 
 * a suppression comment on a code line covers that line;
 * a standalone comment line covers the immediately following line;
-* multiple codes may be comma-separated (``disable=RPL003,RPL005``).
+* multiple codes may be comma-separated (``disable=RPL000,RPL010``).
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from __future__ import annotations
 import ast
 import os
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from .findings import Finding
 from .rules import RULES, ModuleContext
 
 __all__ = [
-    "DEFAULT_EXCLUDED_DIRS",
+    "EXCLUDED_DIRS",
     "iter_python_files",
     "lint_file",
     "lint_paths",
@@ -33,7 +33,7 @@ __all__ = [
 
 # Directory names never descended into.  ``fixtures`` holds the linter's
 # own known-bad test corpus — it must stay red without failing the repo.
-DEFAULT_EXCLUDED_DIRS = ("fixtures", "__pycache__", ".git", "build", "dist")
+EXCLUDED_DIRS = ("fixtures", "__pycache__", ".git", "build", "dist")
 
 _SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Z0-9,\s]+)")
 
@@ -55,31 +55,7 @@ def parse_suppressions(source: str) -> Dict[int, Set[str]]:
     return suppressed
 
 
-def _selected_rules(
-    select: Optional[Iterable[str]] = None, ignore: Optional[Iterable[str]] = None
-) -> List[str]:
-    codes = sorted(RULES)
-    if select:
-        wanted = {code.upper() for code in select}
-        unknown = wanted - set(codes)
-        if unknown:
-            raise ValueError(f"unknown rule code(s): {sorted(unknown)}")
-        codes = [code for code in codes if code in wanted]
-    if ignore:
-        dropped = {code.upper() for code in ignore}
-        unknown = dropped - set(RULES)
-        if unknown:
-            raise ValueError(f"unknown rule code(s): {sorted(unknown)}")
-        codes = [code for code in codes if code not in dropped]
-    return codes
-
-
-def lint_source(
-    source: str,
-    path: str,
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> List[Finding]:
+def lint_source(source: str, path: str) -> List[Finding]:
     """Lint one module's source text as if it lived at ``path``.
 
     ``path`` drives every path-scoped rule (whitelists, test detection),
@@ -102,7 +78,7 @@ def lint_source(
     context = ModuleContext(tree=tree, path=path, source=source)
     suppressions = parse_suppressions(source)
     findings: List[Finding] = []
-    for code in _selected_rules(select, ignore):
+    for code in sorted(RULES):
         for finding in RULES[code].run(context):
             if finding.code in suppressions.get(finding.line, ()):
                 continue
@@ -111,33 +87,14 @@ def lint_source(
     return findings
 
 
-def lint_file(
-    path: str,
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    cache=None,
-) -> List[Finding]:
-    """Lint one file on disk (optionally through a
-    :class:`~repro.analysis.cache.LintCache`)."""
+def lint_file(path: str) -> List[Finding]:
+    """Lint one file on disk."""
     with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    if cache is not None:
-        key = cache.file_key(path, source, _selected_rules(select, ignore))
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    findings = lint_source(source, path, select=select, ignore=ignore)
-    if cache is not None:
-        cache.put(key, findings)
-    return findings
+        return lint_source(handle.read(), path)
 
 
-def iter_python_files(
-    paths: Sequence[str],
-    excluded_dirs: Sequence[str] = DEFAULT_EXCLUDED_DIRS,
-) -> List[str]:
+def iter_python_files(paths: Sequence[str]) -> List[str]:
     """Expand files/directories into a sorted list of ``.py`` files."""
-    excluded = set(excluded_dirs)
     found: List[str] = []
     for path in paths:
         if os.path.isfile(path):
@@ -147,23 +104,17 @@ def iter_python_files(
         if not os.path.isdir(path):
             raise FileNotFoundError(f"no such file or directory: {path}")
         for root, dirs, files in os.walk(path):
-            dirs[:] = sorted(d for d in dirs if d not in excluded)
+            dirs[:] = sorted(d for d in dirs if d not in EXCLUDED_DIRS)
             for name in sorted(files):
                 if name.endswith(".py"):
                     found.append(os.path.join(root, name))
     return sorted(dict.fromkeys(found))
 
 
-def lint_paths(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    excluded_dirs: Sequence[str] = DEFAULT_EXCLUDED_DIRS,
-    cache=None,
-) -> List[Finding]:
+def lint_paths(paths: Sequence[str]) -> List[Finding]:
     """Lint every ``.py`` file under ``paths``; returns sorted findings."""
     findings: List[Finding] = []
-    for path in iter_python_files(paths, excluded_dirs=excluded_dirs):
-        findings.extend(lint_file(path, select=select, ignore=ignore, cache=cache))
+    for path in iter_python_files(paths):
+        findings.extend(lint_file(path))
     findings.sort(key=Finding.sort_key)
     return findings

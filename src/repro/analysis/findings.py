@@ -21,8 +21,8 @@ class Finding:
     Attributes
     ----------
     code:
-        The rule code (``RPL001`` … ``RPL008``, or ``RPL000`` for files
-        the linter could not parse; sanitizer findings use ``SAN0xx``).
+        The rule code (``RPL010``, or ``RPL000`` for files the linter
+        could not parse; sanitizer findings use ``SAN0xx``).
     message:
         Human-readable description of the violation.
     path:

@@ -1,7 +1,7 @@
 """Runtime lock-order sanitizer (``lockwatch``): SAN004 / SAN005.
 
-The dynamic counterpart to the static RPL013/RPL016 rules.  When
-enabled, ``threading.Lock`` / ``threading.RLock`` constructions return
+Lock-order inversions and long holds are caught here, at run time.
+When enabled, ``threading.Lock`` / ``threading.RLock`` constructions return
 *watched* proxies (``threading.Condition()`` is covered transitively —
 it allocates its RLock through the patched factory).  Each proxy
 maintains, through the shared :class:`LockWatch`:

@@ -1,14 +1,14 @@
-"""Text, JSON, and SARIF renderings of lint findings."""
+"""Text and JSON renderings of lint findings."""
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from .findings import Finding
 
-__all__ = ["render_text", "render_json", "render_sarif", "summarize"]
+__all__ = ["render_text", "render_json", "summarize"]
 
 
 def summarize(findings: Sequence[Finding]) -> Counter:
@@ -36,77 +36,3 @@ def render_json(findings: Sequence[Finding]) -> str:
         "total": len(findings),
     }
     return json.dumps(payload, indent=2, sort_keys=False)
-
-
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def render_sarif(
-    findings: Sequence[Finding],
-    rules: Optional[Sequence[Tuple[str, str, str]]] = None,
-) -> str:
-    """SARIF 2.1.0 report — what GitHub code scanning ingests.
-
-    ``rules`` is the ``(code, name, description)`` table; when omitted,
-    rule metadata is derived from the findings themselves.
-    """
-    if rules is None:
-        seen: Dict[str, Tuple[str, str, str]] = {}
-        for finding in findings:
-            seen.setdefault(finding.code, (finding.code, finding.rule, ""))
-        rules = [seen[code] for code in sorted(seen)]
-    rule_index = {code: i for i, (code, _, _) in enumerate(rules)}
-    results = []
-    for finding in findings:
-        result: Dict[str, object] = {
-            "ruleId": finding.code,
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path.replace("\\", "/"),
-                            "uriBaseId": "%SRCROOT%",
-                        },
-                        "region": {
-                            "startLine": max(finding.line, 1),
-                            "startColumn": finding.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        if finding.code in rule_index:
-            result["ruleIndex"] = rule_index[finding.code]
-        results.append(result)
-    payload = {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "informationUri": (
-                            "https://example.invalid/repro/analysis"
-                        ),
-                        "version": "1.0.0",
-                        "rules": [
-                            {
-                                "id": code,
-                                "name": name,
-                                "shortDescription": {"text": description or name},
-                            }
-                            for code, name, description in rules
-                        ],
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(payload, indent=2)

@@ -73,8 +73,7 @@ class EmbeddingFeature:
         # Normalize so an unvisited cell's expected squared error is ~1
         # regardless of dim, keeping η (Eqn. 17) comparable across feature
         # kinds and the intrinsic reward on the extrinsic reward's scale.
-        # Init-time write to a frozen table: no autograd tape to invalidate.
-        self._table.weight.data /= np.sqrt(dim)  # reprolint: disable=RPL003
+        self._table.weight.data /= np.sqrt(dim)
 
     def __call__(self, positions: np.ndarray) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)

@@ -78,7 +78,7 @@ injected worker crash.  Workers are ``fork``-started: the factories the
 trainer already uses are closures over the scenario, which ``fork``
 inherits for free (a ``spawn`` backend would need every factory to be
 picklable).  Worker entrypoints receive *explicit* seeds and configs —
-never module globals — which reprolint rule RPL011 enforces.
+never module globals.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class WorkerDied(RuntimeError):
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything one worker process needs, passed *explicitly* (RPL011).
+    """Everything one worker process needs, passed *explicitly*.
 
     A forked worker inherits the chief's entire module state — module
     RNGs, singletons, half-open resources.  Reading any of it post-fork

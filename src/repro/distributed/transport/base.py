@@ -15,7 +15,7 @@ bookkeeping) can drive workers over any medium:
   manage the worker's spawn/revive lifecycle.
 * :class:`WorkerEndpoint` — the worker's mirror image, built inside the
   worker process from a picklable :class:`EndpointSpec` (never from
-  inherited chief state — the same RPL011 discipline as
+  inherited chief state — the same discipline as
   :class:`~repro.distributed.procpool.WorkerSpec`).
 
 Failure is part of the interface: any operation may raise

@@ -1017,14 +1017,9 @@ class SocketWorkerEndpoint(WorkerEndpoint):
             if sock is None:
                 return  # the read loop reconnects; the chief retransmits
             try:
-                # RPL016 justification: sendall *must* run under _lock —
-                # the serve loop and the heartbeat beacon share this
-                # socket, and interleaved partial writes would corrupt
-                # the frame stream.  Worst case a heartbeat waits one
-                # frame write; the chief's timeout is orders of
-                # magnitude larger, so the beacon cannot miss its
-                # deadline because of this hold.
-                sock.sendall(frame)  # reprolint: disable=RPL016
+                # The serve loop and the heartbeat beacon share this
+                # socket: the lock keeps their frames from interleaving.
+                sock.sendall(frame)
             except OSError:
                 try:
                     sock.close()

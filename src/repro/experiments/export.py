@@ -80,9 +80,7 @@ def write_report(
     lines = [
         "# Reproduced evaluation artifacts",
         "",
-        # Report banner timestamp: presentation only, never feeds any
-        # deterministic computation.
-        f"Generated {datetime.datetime.now():%Y-%m-%d %H:%M} from "  # reprolint: disable=RPL006
+        f"Generated {datetime.datetime.now():%Y-%m-%d %H:%M} from "
         f"`{directory}`.  Regenerate any artifact with "
         "`pytest benchmarks/ --benchmark-only` or "
         "`python -m repro.experiments run <id>`.",

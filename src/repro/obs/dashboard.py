@@ -19,8 +19,8 @@ plus the process-local metrics registry:
 The dashboard only *reads* — episode logs and registry snapshots — and
 writes to its stream; it never touches the model, the env or the RNGs,
 so training trajectories are unchanged whether it is on or off.  Output
-goes through ``stream.write`` (reporting module, RPL009-whitelisted via
-the CLI caller would not apply here, hence no ``print``).
+goes through ``stream.write``, never ``print``, so a caller can redirect
+it.
 """
 
 from __future__ import annotations

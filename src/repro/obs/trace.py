@@ -273,7 +273,7 @@ class Tracer:
             }
         )
         self._installed = True
-        _bind_active_reset_after_fork(self)
+        _bind_active(self)
         return self
 
     def uninstall(self) -> "Tracer":
@@ -282,7 +282,7 @@ class Tracer:
             return self
         self._installed = False
         if _ACTIVE is self:
-            _bind_active_reset_after_fork(None)
+            _bind_active(None)
         with self._lock:
             if self._handle is not None:
                 self._handle.close()
@@ -313,16 +313,9 @@ class Tracer:
 _ACTIVE: Optional[Tracer] = None
 
 
-def _bind_active_reset_after_fork(tracer: Optional[Tracer]) -> None:
-    """(Re)bind the process-local tracer singleton.
-
-    The only place ``_ACTIVE`` is rebound.  Named into the RPL015
-    ``reset_after_fork`` re-init family on purpose: installing a tracer
-    inside a freshly forked worker *is* fork-side re-initialization of
-    per-process trace state (the worker adopts its own tracer after
-    :func:`reset_after_fork` dropped the inherited one), not chief state
-    leaking through the fork.
-    """
+def _bind_active(tracer: Optional[Tracer]) -> None:
+    """(Re)bind the process-local tracer singleton (the only place
+    ``_ACTIVE`` is rebound)."""
     global _ACTIVE
     _ACTIVE = tracer
 
@@ -407,9 +400,8 @@ _SINKS: List[Callable[[Dict[str, object]], None]] = []
 def wall_clock() -> float:
     """The wall clock (``time.time()``), exposed for non-obs modules.
 
-    RPL006 confines raw wall-clock reads to the obs/transport layers;
-    modules on the hot training path (e.g. ``procpool``) stamp reply
-    clocks through this helper so the discipline stays greppable.
+    Modules on the hot training path (e.g. ``procpool``) stamp reply
+    clocks through this helper, so their wall-clock reads stay greppable.
     """
     return time.time()
 

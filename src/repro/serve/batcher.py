@@ -23,7 +23,7 @@ retry backoff.
 
 The batcher is pure asyncio bookkeeping; the actual forward (a blocking
 worker-pool round-trip) runs on executor threads via
-``loop.run_in_executor``, never on the event loop (lint rule RPL019).
+``loop.run_in_executor``, never on the event loop.
 """
 
 from __future__ import annotations

@@ -97,7 +97,7 @@ class InlinePool:
 
 @dataclass
 class _WorkerSpec:
-    """Everything a forked serve worker needs, passed explicitly (RPL011)."""
+    """Everything a forked serve worker needs, passed explicitly."""
 
     index: int
     state: Dict[str, np.ndarray]

@@ -23,8 +23,7 @@ Front doors
 Request path: LRU cache (pure in-loop CPU, no await) → micro-batcher
 (admission control; raises :class:`Overloaded` → 503 reject) → worker
 pool on executor threads.  Every blocking call is off-loaded — the event
-loop never waits on a socket, a worker pipe, or checkpoint IO (lint rule
-RPL019 enforces this).
+loop never waits on a socket, a worker pipe, or checkpoint IO.
 
 Hot reload bumps the cache generation *first*, then broadcasts weights:
 batches already in flight finish on the old weights, answer with their
@@ -534,7 +533,7 @@ class ServeClient:
         # The bytes on this socket ARE framed (encode_frame/CRC via the
         # PR 6 codec); the client is deliberately transport-free so it
         # can live in notebooks without chief/worker machinery.
-        self._sock.sendall(frame)  # reprolint: disable=RPL012
+        self._sock.sendall(frame)
         while True:
             for ftype, __, payload in self._assembler.iter_frames():
                 if ftype != T_CONTROL:
@@ -543,7 +542,7 @@ class ServeClient:
                 if reply_seq != seq:
                     continue  # a pipelined sibling's answer
                 return kind, body
-            data = self._sock.recv(1 << 16)  # reprolint: disable=RPL012
+            data = self._sock.recv(1 << 16)
             if not data:
                 raise ConnectionError("serve connection closed mid-request")
             self._assembler.feed(data)

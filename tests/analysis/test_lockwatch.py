@@ -118,9 +118,8 @@ class TestOrderInversion:
             w.disable()
 
     def test_matches_static_rpl013_fixture_shape(self, watch):
-        """Runtime half of the lock-order regression: the same
-        A(lock1→lock2) / B(lock2→lock1) interleaving the static fixture
-        pair encodes is caught live."""
+        """The A(lock1→lock2) / B(lock2→lock1) interleaving the deleted
+        static RPL013 fixture encoded is caught live."""
         lock_1, lock_2 = threading.Lock(), threading.Lock()
 
         def module_a():

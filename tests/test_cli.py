@@ -229,6 +229,25 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "MFLOP" in out  # hot-spot table header
 
+    @pytest.mark.parametrize("backend", ["process", "socket"])
+    @pytest.mark.parametrize("flag", ["--profile", "--sanitize"])
+    def test_op_instruments_refused_off_the_serial_backend(
+        self, backend, flag, capsys
+    ):
+        """Employees' ops run in forked children there, so the parent's
+        profiler or sanitizer would see none of them: refuse the flag
+        before any worker starts."""
+        code = main(
+            [
+                "train", "--scale", "smoke", "--episodes", "1",
+                "--backend", backend, flag,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--backend serial" in captured.err
+        assert "training" not in captured.out
+
     def test_profile_subcommand(self, capsys):
         assert main(["profile", "--method", "dppo", "--episodes", "1"]) == 0
         out = capsys.readouterr().out

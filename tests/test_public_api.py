@@ -1,5 +1,8 @@
 """Smoke tests of the top-level public API surface."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,29 @@ class TestExports:
             repro.obs,
             repro.utils,
         )
+
+
+class TestLinterStaysOutOfRuntime:
+    def test_runtime_imports_and_cli_parser_do_not_load_the_linter(self):
+        """Training and serving import ``repro.analysis`` for the
+        sanitizers only: the lint engine and its rules load when
+        ``python -m repro lint`` runs, not when any parser is built."""
+        probe = (
+            "import sys\n"
+            "import repro.distributed.procpool, repro.serve.pool\n"
+            "from repro.__main__ import main\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "loaded = [m for m in ('repro.analysis.rules', 'repro.analysis.engine')"
+            " if m in sys.modules]\n"
+            "sys.exit(f'linter loaded: {loaded}' if loaded else 0)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestQuickstartFlow:
