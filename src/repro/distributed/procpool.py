@@ -151,14 +151,15 @@ class WorkerSpec:
     A forked worker inherits the chief's entire module state — module
     RNGs, singletons, half-open resources.  Reading any of it post-fork
     is a determinism and correctness hazard, so the entrypoint receives
-    this frozen spec instead: its own factories, its exact RNG state, the
-    (immutable) fault plan and the transport endpoint recipe.
+    this frozen spec instead: its own factories, the (immutable) fault
+    plan and the transport endpoint recipe.  It carries no RNG state: the
+    chief ships each worker's state on every SYNC, and a worker runs no
+    task before its first SYNC.
     """
 
     index: int
     agent_factory: Callable[[int], object]
     env_factory: Callable[[int], object]
-    initial_rng_state: dict
     plan: Optional[FaultPlan]
     endpoint: EndpointSpec
     shapes: Tuple[Tuple[int, ...], ...]
@@ -229,8 +230,7 @@ def serve_employee(spec: WorkerSpec, endpoint: WorkerEndpoint) -> None:
     """
     agent = spec.agent_factory(spec.index)
     env = spec.env_factory(spec.index)
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = spec.initial_rng_state
+    rng = np.random.default_rng(0)  # replaced by the first SYNC's state
     injector = FaultInjector(spec.plan) if spec.plan is not None else None
     params = list(agent.policy_parameters()) + list(agent.curiosity_parameters())
     rollout = None
@@ -353,8 +353,29 @@ def serve_employee(spec: WorkerSpec, endpoint: WorkerEndpoint) -> None:
         endpoint.close()
 
 
+def _batch_schedule() -> None:
+    """Put this process in ``SCHED_BATCH`` where the OS has it.
+
+    With more employees than free CPUs, some worker shares a CPU with
+    the chief.  A normal task woken by the chief's command preempts the
+    chief in the middle of its fan-out, so the next worker's command goes
+    out milliseconds late, every round.  A batch task does not preempt on
+    wake-up: it runs once the chief blocks waiting for replies.  Setting
+    it needs no privilege, and it moves no bit: only when a worker starts
+    running changes.
+    """
+    policy = getattr(os, "SCHED_BATCH", None)
+    if policy is None:
+        return
+    try:
+        os.sched_setscheduler(0, policy, os.sched_param(0))
+    except OSError:
+        pass
+
+
 def _employee_worker_main(spec: WorkerSpec, conn) -> None:
     """Forked worker-process entrypoint (see :class:`WorkerSpec`)."""
+    _batch_schedule()
     _trace_reset_after_fork()
     _lockwatch_reset_after_fork()
     _flight_reset_after_fork()
@@ -398,8 +419,9 @@ class ProcessEmployeePool:
     num_policy_params:
         How many leading entries of ``shapes`` are policy parameters.
     initial_rng_states:
-        Per-employee ``bit_generator.state`` dicts seeding the workers
-        (the chief's authoritative mirrors).
+        One ``bit_generator.state`` dict per employee.  Only its length
+        is checked: a worker takes its state from every SYNC, and the
+        first SYNC comes before its first task.
     plan:
         Optional fault plan forwarded verbatim to every worker.
     transport:
@@ -489,22 +511,19 @@ class ProcessEmployeePool:
         self._workers: List[_WorkerHandle] = []
         for index in range(num_employees):
             channel = self._transport.create_channel(index)
-            handle = self._spawn(index, channel, initial_rng_states[index])
+            handle = self._spawn(index, channel)
             self._workers.append(handle)
         atexit.register(self._atexit_shutdown)
 
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
-    def _spawn(
-        self, index: int, channel: ChiefChannel, rng_state: dict
-    ) -> _WorkerHandle:
+    def _spawn(self, index: int, channel: ChiefChannel) -> _WorkerHandle:
         spawn_handle = channel.arm()
         spec = WorkerSpec(
             index=index,
             agent_factory=self._agent_factory,
             env_factory=self._env_factory,
-            initial_rng_state=rng_state,
             plan=self._plan,
             endpoint=channel.endpoint_spec(),
             shapes=self.shapes,
@@ -519,7 +538,6 @@ class ProcessEmployeePool:
                 {
                     "shapes": self.shapes,
                     "num_policy_params": self.num_policy_params,
-                    "rng_state": rng_state,
                     "plan": self._plan,
                     "federate": self._federate,
                 },
@@ -588,7 +606,7 @@ class ProcessEmployeePool:
                 handle.process.terminate()
             handle.process.join(timeout=5.0)
         handle.channel.reset_for_revive()
-        fresh = self._spawn(index, handle.channel, rng_state)
+        fresh = self._spawn(index, handle.channel)
         self._workers[index] = fresh
         if index in self._remote:
             return  # nothing to sync until the operator restarts the worker

@@ -9,10 +9,11 @@ worker (:func:`~repro.distributed.procpool.serve_employee`).
 Bootstrap happens over the wire instead of over ``fork``: the WELCOME
 payload carries everything a forked worker would have received inside
 its :class:`~repro.distributed.procpool.WorkerSpec` — parameter shapes,
-the policy/curiosity split, the worker's seeded RNG state (the chief's
-authoritative mirror) and the fault plan.  The agent and environment are
-rebuilt locally from the same deterministic factories, so a remote
-worker is observationally identical to a forked one.
+the policy/curiosity split and the fault plan.  Its RNG state comes, as
+a forked worker's does, with every SYNC (the chief's authoritative
+mirror).  The agent and environment are rebuilt locally from the same
+deterministic factories, so a remote worker is observationally identical
+to a forked one.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ def run_remote_worker(
         index=int(index),
         agent_factory=agent_factory,
         env_factory=env_factory,
-        initial_rng_state=welcome["rng_state"],
         plan=welcome.get("plan"),
         endpoint=spec,
         shapes=tuple(tuple(int(d) for d in s) for s in welcome["shapes"]),

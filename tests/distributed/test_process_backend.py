@@ -8,7 +8,9 @@ transport (pipes + shared-memory slabs) and the worker processes stay
 invisible, and no ``/dev/shm`` segment ever outlives the trainer.
 """
 
+import json
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -196,6 +198,116 @@ class TestProcessBackendBitwise:
         assert curves(tail)[0] == [straight_history.curve("kappa")[1]]
         for key, value in straight.global_agent.state_dict().items():
             assert np.array_equal(value, final[key]), key
+
+    def test_first_draw_follows_the_first_sync(self, config, ppo):
+        """A worker is seeded by SYNC alone: the state the pool is built
+        with plays no part, and the first episode draws from the state
+        the first SYNC shipped, as a serial employee would."""
+        from repro.distributed.factories import build_worker_factories
+        from repro.distributed.procpool import OP_EXPLORE, ProcessEmployeePool
+
+        agent_factory, env_factory = build_worker_factories(
+            "cews", config, ppo=ppo, seed=0
+        )
+        reference = agent_factory(0)
+        arrays = [p.data for p in reference.policy_parameters()] + [
+            p.data for p in reference.curiosity_parameters()
+        ]
+        synced = np.random.default_rng(2).bit_generator.state
+        with ProcessEmployeePool(
+            agent_factory,
+            env_factory,
+            1,
+            shapes=[a.shape for a in arrays],
+            num_policy_params=len(reference.policy_parameters()),
+            initial_rng_states=[np.random.default_rng(1).bit_generator.state],
+        ) as pool:
+            pool.sync(arrays, [synced], episode=0)
+            pool.submit(0, OP_EXPLORE, episode=0)
+            result, state = pool.wait(0, None, "explore")
+
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = synced
+        __, want = reference.collect_episode(env_factory(0), rng)
+        assert state == rng.bit_generator.state
+        assert result.extrinsic_reward == want.extrinsic_reward
+        assert result.metrics == want.metrics
+
+
+# ----------------------------------------------------------------------
+# Placement and the heap: a forked employee runs like the serial process
+# ----------------------------------------------------------------------
+#: Trains DRL-CEWS at the ``smoke`` scale on the process backend in a fresh
+#: interpreter (a chief whose heap earlier tests grew would hide the
+#: faults) and prints each worker's minor page faults per episode once warm.
+_WARM_FAULTS_CHILD = """
+import json
+from repro.distributed import build_trainer
+from repro.experiments.scales import get_scale
+from repro.experiments.training import make_ppo_config, make_train_config
+
+def minor_faults(pid):
+    with open(f"/proc/{pid}/stat") as stat:
+        return int(stat.read().rsplit(")", 1)[1].split()[7])
+
+scale = get_scale("smoke")
+trainer = build_trainer(
+    "cews", scale.scenario(seed=0),
+    train=make_train_config(scale, seed=0, backend="process"),
+    ppo=make_ppo_config(scale), seed=0,
+)
+try:
+    trainer.train(2)
+    pool = trainer._proc_pool
+    pids = [pool.pid(i) for i in range(pool.num_employees)]
+    before = [minor_faults(pid) for pid in pids]
+    trainer.train(3)
+    print(json.dumps([(minor_faults(pid) - start) / 3
+                      for pid, start in zip(pids, before)]))
+finally:
+    trainer.close()
+"""
+
+
+class TestEmployeePlacement:
+    @pytest.mark.skipif(
+        not hasattr(os, "SCHED_BATCH"), reason="no SCHED_BATCH on this platform"
+    )
+    def test_employees_run_sched_batch_and_the_chief_does_not(self, config, ppo):
+        trainer = make_trainer(config, ppo, backend="process", episodes=1)
+        try:
+            trainer.train()
+            pool = trainer._proc_pool
+            policies = [
+                os.sched_getscheduler(pool.pid(i)) for i in range(pool.num_employees)
+            ]
+        finally:
+            trainer.close()
+        assert policies == [os.SCHED_BATCH] * 3
+        assert os.sched_getscheduler(0) != os.SCHED_BATCH
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/stat"),
+        reason="the heap rule is glibc's; the fault count is read from /proc",
+    )
+    def test_a_warm_employee_keeps_its_heap(self):
+        """Freed replay memory stays in the worker's heap: once warm, an
+        episode costs a worker a few page faults, not one per page of
+        every replay (about 3 000 per episode when glibc trims)."""
+        src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.run(
+            [sys.executable, "-c", _WARM_FAULTS_CHILD],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        per_episode = json.loads(child.stdout.strip().splitlines()[-1])
+        assert len(per_episode) == 2
+        assert all(count <= 300 for count in per_episode), per_episode
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,8 @@ earlier result.
 
 import os
 import pickle
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -236,6 +238,87 @@ class TestArenaEscapeSafety:
             assert any(
                 a.tobytes() != b.tobytes() for a, b in zip(held, previous)
             ), "the two minibatches must differ for the check to bite"
+
+
+@pytest.fixture(scope="module")
+def batch_of_40():
+    """One CEWS PPO minibatch of 40 rows, the training minibatch size."""
+    config = smoke_config(seed=3, horizon=40)
+    agent = CEWSAgent(config, ppo=PPOConfig(batch_size=40, epochs=1), seed=0)
+    env = CrowdsensingEnv(config, reward_mode="sparse", scenario=agent.scenario)
+    buffer, __ = agent.collect_episode(env, np.random.default_rng(0))
+    return agent, next(iter(buffer.minibatches(40, np.random.default_rng(0))))
+
+
+class TestPlanLifetimes:
+    """A replay frees each intermediate after its last reader, as the
+    tape does, instead of holding every frame slot until it returns."""
+
+    def test_replay_peak_is_at_most_the_tapes(self, batch_of_40):
+        agent, batch = batch_of_40
+        planner = make_ppo_planner(agent.network, agent.ppo)
+
+        def peak(step):
+            agent.network.zero_grad()
+            tracemalloc.start()
+            try:
+                step()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def planned():
+            ppo_step(agent.network, batch, agent.ppo, planner=planner)
+
+        peak(planned)  # build and validate
+        plan_peak = peak(planned)
+        assert planner.last_path == "plan", planner.last_reason
+        assert planner.stats["validation_failed"] == 0
+        tape_peak = peak(lambda: ppo_step(agent.network, batch, agent.ppo))
+        assert plan_peak <= tape_peak
+
+    def test_forward_replay_keeps_only_inputs_parameters_and_outputs(self, workload):
+        agent, batch = workload
+        inputs = _ppo_arrays(batch, agent.ppo)
+        planner = _forward_planner(agent.network)
+        with nn.no_grad():
+            planner.step(inputs)
+        (plan,) = planner.plans.values()
+        frames, born = [], []
+
+        def spy(fn):
+            def record(frame):
+                before = list(frame)
+                fn(frame)
+                frames.append(frame)
+                born.extend(
+                    weakref.ref(new)
+                    for old, new in zip(before, frame)
+                    if new is not old and isinstance(new, np.ndarray)
+                )
+            return record
+
+        plan.records = tuple((name, spy(fn), drop) for name, fn, drop in plan.records)
+        with nn.no_grad():
+            outputs = planner.step(inputs)
+        assert planner.last_path == "plan", planner.last_reason
+        assert planner.stats["validation_failed"] == 0
+        frame = frames[0]
+        kept = [frame[slot] for __, slot in plan.output_slots]
+        allowed = (
+            list(inputs.values())
+            + [p.data for p in agent.network.parameters()]
+            + [value for value in plan.frame_init if value is not None]
+            + kept
+        )
+        assert all(value is None or any(value is a for a in allowed) for value in frame)
+        for got, value in zip(outputs.values(), kept):
+            assert got.tobytes() == value.tobytes()
+        # An output slot may hold a view: its base lives as long as it does.
+        allowed += [value.base for value in kept if value.base is not None]
+        alive = [ref() for ref in born if ref() is not None]
+        assert all(any(value is a for a in allowed) for value in alive)
+        assert len(alive) < len(born)
 
 
 def _program_with_a_dropout_mask(weight):
