@@ -236,17 +236,12 @@ class EdicsAgent:
             raise ValueError(
                 f"got {len(batches)} worker batches for {len(self.networks)} networks"
             )
-        grads: List[np.ndarray] = []
         stats_list: List[PPOStats] = []
         for network, batch in zip(self.networks, batches):
             for param in network.parameters():
                 param.grad = None
             loss, stats = ppo_loss(network, batch, self.ppo)
             loss.backward()
-            grads.extend(
-                np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                for p in network.parameters()
-            )
             stats_list.append(stats)
         merged = PPOStats(
             policy_loss=float(np.mean([s.policy_loss for s in stats_list])),
@@ -255,7 +250,10 @@ class EdicsAgent:
             clip_fraction=float(np.mean([s.clip_fraction for s in stats_list])),
             approx_kl=float(np.mean([s.approx_kl for s in stats_list])),
         )
-        return GradientPack(policy=grads, curiosity=[], stats=merged)
+        params = self.policy_parameters()
+        return GradientPack.from_vector(
+            nn.flatten_gradients(params), params, len(params), merged
+        )
 
     # ------------------------------------------------------------------
     # Standalone training

@@ -53,14 +53,37 @@ def _stack_rows(rows: List[np.ndarray]) -> np.ndarray:
 class GradientPack:
     """Gradients an employee ships to the chief after one minibatch.
 
-    ``policy`` aligns with ``agent.network.parameters()`` order and
-    ``curiosity`` with ``agent.curiosity.parameters()`` order (empty for
-    curiosity-free agents).
+    ``vector`` holds them all as one float64 vector laid out by
+    :func:`repro.nn.unflatten_vector`: the policy parameters'
+    (``agent.network.parameters()`` order), then the curiosity
+    parameters' (``agent.curiosity.parameters()`` order, none for
+    curiosity-free agents).  ``policy`` and ``curiosity`` are
+    per-parameter views of it, so writing into one writes the other.
     """
 
+    vector: np.ndarray
     policy: List[np.ndarray]
     curiosity: List[np.ndarray]
     stats: PPOStats
+
+    @classmethod
+    def from_vector(
+        cls, vector: np.ndarray, params: Sequence, num_policy: int, stats: PPOStats
+    ) -> "GradientPack":
+        """The pack over ``vector``; ``params`` (parameters or shapes)
+        lay it out, and the first ``num_policy`` of them are the policy's."""
+        views = nn.unflatten_vector(vector, params)
+        return cls(vector, views[:num_policy], views[num_policy:], stats)
+
+    @property
+    def policy_vector(self) -> np.ndarray:
+        """The policy gradients: the leading part of :attr:`vector`."""
+        return self.vector[: sum(grad.size for grad in self.policy)]
+
+    @property
+    def curiosity_vector(self) -> np.ndarray:
+        """The curiosity gradients: the rest of :attr:`vector`."""
+        return self.vector[sum(grad.size for grad in self.policy) :]
 
 
 class PPOWorkerAgent:
@@ -364,21 +387,21 @@ class PPOWorkerAgent:
         """Compute PPO and curiosity gradients for one minibatch.
 
         The agent's parameters are *not* updated — gradients are returned
-        for the chief (or a local optimizer) to apply.
+        for the chief (or a local optimizer) to apply, as one vector (see
+        :class:`GradientPack`).
         """
-        for param in self.network.parameters():
+        policy_params = self.network.parameters()
+        curiosity_params = self.curiosity.parameters()
+        cut = sum(param.size for param in policy_params)
+        vector = np.empty(cut + sum(param.size for param in curiosity_params))
+        for param in policy_params:
             param.grad = None
         if self._planner is None:
             self._planner = make_ppo_planner(self.network, self.ppo)
         with trace_span("ppo.update"):
             stats = ppo_step(self.network, batch, self.ppo, planner=self._planner)
-        policy_grads = [
-            np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-            for p in self.network.parameters()
-        ]
+        nn.flatten_gradients(policy_params, out=vector[:cut])
 
-        curiosity_grads: List[np.ndarray] = []
-        curiosity_params = self.curiosity.parameters()
         if curiosity_params:
             for param in curiosity_params:
                 param.grad = None
@@ -395,11 +418,10 @@ class PPOWorkerAgent:
                 )
             with trace_span("curiosity.update"):
                 self._curiosity_planner.step(self.curiosity.loss_inputs(curiosity_batch))
-            curiosity_grads = [
-                np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                for p in curiosity_params
-            ]
-        return GradientPack(policy=policy_grads, curiosity=curiosity_grads, stats=stats)
+            nn.flatten_gradients(curiosity_params, out=vector[cut:])
+        return GradientPack.from_vector(
+            vector, policy_params + curiosity_params, len(policy_params), stats
+        )
 
     # ------------------------------------------------------------------
     # Standalone (single-process) training

@@ -193,7 +193,7 @@ def check_percall_index_alloc(context: ModuleContext) -> Iterator[Finding]:
                     "RPL010",
                     node,
                     "`np.add.at` scatter in a repro.nn hot path: use the "
-                    "kernel plan's order-preserving strided scatter_add "
+                    "kernel plan's order-preserving bincount scatter_add "
                     "(np.add.at's buffered accumulation was the dominant "
                     "col2im cost)",
                 )

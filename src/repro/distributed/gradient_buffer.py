@@ -21,10 +21,13 @@ attribute blame.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .. import nn
 
 __all__ = ["GradientBuffer", "GradientRejected"]
 
@@ -34,7 +37,13 @@ class GradientRejected(ValueError):
 
 
 class GradientBuffer:
-    """Thread-safe accumulator of aligned gradient lists.
+    """Thread-safe accumulator of aligned gradient contributions.
+
+    The running sum is one float64 vector laid out by
+    :func:`repro.nn.unflatten_vector` over the parameter shapes.  A
+    contribution arrives either as that vector (:meth:`add_vector`, the
+    chief's path) or as a per-parameter list (:meth:`add`); either way
+    it is checked and summed as one vector.
 
     Parameters
     ----------
@@ -67,8 +76,12 @@ class GradientBuffer:
         self.num_params = num_params
         self.max_norm = float(max_norm)
         self._shapes = tuple(tuple(s) for s in shapes) if shapes is not None else None
+        #: Elements in one contribution (known once the shapes are).
+        self._size = sum(math.prod(s) for s in self._shapes) if self._shapes is not None else None
         self._lock = threading.Lock()
-        self._sum: Optional[List[np.ndarray]] = None
+        self._sum: Optional[np.ndarray] = None
+        #: Layout of ``_sum``: ``_shapes``, or the first accepted list's.
+        self._sum_shapes: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._count = 0
         self._rejections: Dict[int, int] = {}
 
@@ -85,39 +98,44 @@ class GradientBuffer:
             return dict(self._rejections)
 
     # ------------------------------------------------------------------
-    def _validate(self, grads: Sequence[np.ndarray]) -> None:
+    def _quarantine(self, vector: np.ndarray, shapes: Sequence[Tuple[int, ...]]) -> None:
         """Raise before anything touches the sum; the buffer stays intact."""
-        if len(grads) != self.num_params:
-            raise ValueError(
-                f"expected {self.num_params} gradient arrays, got {len(grads)}"
+        finite = np.isfinite(vector)
+        if not finite.all():
+            index = next(
+                i for i, view in enumerate(nn.unflatten_vector(finite, shapes)) if not view.all()
             )
-        expected = self._shapes
-        if expected is None and self._sum is not None:
-            expected = tuple(acc.shape for acc in self._sum)
-        for index, grad in enumerate(grads):
-            shape = np.shape(grad)
-            if expected is not None and shape != expected[index]:
-                raise ValueError(
-                    f"gradient shape mismatch at parameter index {index}: "
-                    f"got {shape}, expected {expected[index]}"
-                )
-        # Quarantine checks (never mutate state; caller may retry/skip).
-        for index, grad in enumerate(grads):
-            if not np.all(np.isfinite(grad)):
-                raise GradientRejected(
-                    f"non-finite gradient at parameter index {index} "
-                    f"(quarantined before accumulation)"
-                )
+            raise GradientRejected(
+                f"non-finite gradient at parameter index {index} "
+                f"(quarantined before accumulation)"
+            )
         if self.max_norm > 0.0:
-            total = 0.0
-            for grad in grads:
-                total += float(np.sum(np.asarray(grad, dtype=np.float64) ** 2))
-            norm = float(np.sqrt(total))
+            norm = nn.vector_grad_norm(vector, shapes)
             if norm > self.max_norm:
                 raise GradientRejected(
                     f"gradient norm {norm:.3e} exceeds quarantine threshold "
                     f"{self.max_norm:.3e}"
                 )
+
+    def _accumulate(
+        self,
+        vector: np.ndarray,
+        shapes: Tuple[Tuple[int, ...], ...],
+        employee: int,
+        owned: bool,
+    ) -> None:
+        """Quarantine, then sum ``vector``; the caller holds the lock."""
+        try:
+            self._quarantine(vector, shapes)
+        except GradientRejected:
+            self._rejections[employee] = self._rejections.get(employee, 0) + 1
+            raise
+        if self._sum is None:
+            self._sum = vector if owned else vector.copy()
+            self._sum_shapes = shapes
+        else:
+            self._sum += vector
+        self._count += 1
 
     def add(self, grads: Sequence[np.ndarray], employee: int = -1) -> None:
         """Add one employee's gradient list (summed elementwise).
@@ -128,40 +146,72 @@ class GradientBuffer:
             On a count or per-parameter shape mismatch (names the index).
         GradientRejected
             When the contribution fails quarantine (non-finite values or
-            norm explosion).  The rejection is tallied against
-            ``employee`` and the accumulated sum is left untouched.
+            norm explosion); names the first non-finite parameter index.
+            The rejection is tallied against ``employee`` and the
+            accumulated sum is left untouched.
         """
+        if len(grads) != self.num_params:
+            raise ValueError(
+                f"expected {self.num_params} gradient arrays, got {len(grads)}"
+            )
+        shapes = tuple(np.shape(grad) for grad in grads)
         with self._lock:
-            try:
-                self._validate(grads)
-            except GradientRejected:
-                self._rejections[employee] = self._rejections.get(employee, 0) + 1
-                raise
-            if self._sum is None:
-                self._sum = [np.array(g, dtype=np.float64, copy=True) for g in grads]
-            else:
-                for acc, grad in zip(self._sum, grads):
-                    acc += grad
-            self._count += 1
+            expected = self._shapes if self._shapes is not None else self._sum_shapes
+            if expected is not None:
+                for index, (shape, want) in enumerate(zip(shapes, expected)):
+                    if shape != want:
+                        raise ValueError(
+                            f"gradient shape mismatch at parameter index {index}: "
+                            f"got {shape}, expected {want}"
+                        )
+            vector = (
+                np.concatenate([np.ravel(grad) for grad in grads], dtype=np.float64)
+                if grads
+                else np.zeros(0)
+            )
+            self._accumulate(vector, shapes, employee, owned=True)
 
-    def drain(self) -> tuple[List[np.ndarray], int]:
-        """Return (summed gradients, contribution count) and clear.
+    def add_vector(self, vector: np.ndarray, employee: int = -1) -> None:
+        """Add one contribution given as the flat float64 gradient vector
+        (the buffer's ``shapes`` lay it out).  Raises like :meth:`add`."""
+        if self._shapes is None:
+            raise ValueError("add_vector needs a buffer built with shapes")
+        if vector.shape != (self._size,):
+            raise ValueError(
+                f"gradient vector has shape {vector.shape}, expected ({self._size},)"
+            )
+        with self._lock:
+            self._accumulate(vector, self._shapes, employee, owned=False)
+
+    def drain_vector(self) -> Tuple[np.ndarray, int]:
+        """Return (summed gradient vector, contribution count) and clear.
 
         Raises if the buffer is empty — the chief must never apply a
         phantom update.
         """
+        summed, __, count = self._take()
+        return summed, count
+
+    def drain(self) -> Tuple[List[np.ndarray], int]:
+        """:meth:`drain_vector` with the sum as per-parameter views."""
+        summed, shapes, count = self._take()
+        return nn.unflatten_vector(summed, shapes), count
+
+    def _take(self) -> Tuple[np.ndarray, Tuple[Tuple[int, ...], ...], int]:
         with self._lock:
             if self._sum is None:
                 raise RuntimeError("drain() called on an empty gradient buffer")
-            summed, count = self._sum, self._count
+            taken = (self._sum, self._sum_shapes, self._count)
             self._sum = None
+            self._sum_shapes = None
             self._count = 0
-        return summed, count
+        return taken
 
     def clear(self) -> None:
         """Discard any accumulated gradients without applying them."""
         with self._lock:
             self._sum = None
+            self._sum_shapes = None
             self._count = 0
 
     def clear_rejections(self) -> None:

@@ -310,7 +310,7 @@ def serve_employee(spec: WorkerSpec, endpoint: WorkerEndpoint) -> None:
                         )
                         pack = agent.compute_gradients(batch)
                     endpoint.send_gradients(
-                        list(pack.policy) + list(pack.curiosity),
+                        pack.vector,
                         seq=seq,
                         episode=episode,
                         round_index=round_index,
@@ -834,17 +834,15 @@ class ProcessEmployeePool:
             self.explore_durations[index] = float(payload["dur"])
         if op == OP_MINIBATCH:
             try:
-                arrays, nbytes = handle.channel.read_gradients(seq)
+                vector, nbytes = handle.channel.read_gradients(seq)
             except ChannelClosed as error:
                 raise WorkerDied(
                     f"employee worker {index} lost its gradient payload "
                     f"during {phase}: {error}"
                 ) from error
             self._ipc_bytes.labels(direction="gather").inc(nbytes)
-            pack = GradientPack(
-                policy=arrays[: self.num_policy_params],
-                curiosity=arrays[self.num_policy_params :],
-                stats=payload["stats"],
+            pack = GradientPack.from_vector(
+                vector, self.shapes, self.num_policy_params, payload["stats"]
             )
             return pack, rng_state
         return payload["result"], rng_state

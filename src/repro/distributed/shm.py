@@ -12,8 +12,9 @@ buy, so both directions go through **preallocated**
 * one :class:`TensorSlab` per direction per worker, sized once from the
   parameter shapes (gradient shapes equal parameter shapes);
 * a tiny int64 header ``(seq, episode, round, payload_elems)`` followed by
-  one flat float64 payload; each parameter is a contiguous sub-view at a
-  fixed offset (see :class:`SlabLayout`);
+  one flat float64 payload laid out by :func:`repro.nn.unflatten_vector`
+  (see :class:`SlabLayout`): the weight broadcast is written per
+  parameter view, the gradient return as one vector;
 * the command pipe provides the synchronization: a side only reads a slab
   after receiving the message that announces ``seq``, and the header
   ``seq`` is verified on read so stale or torn payloads are detected
@@ -37,6 +38,7 @@ Segment names carry the ``repro-shm-<pid>-`` prefix so tests can scan
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import secrets
 from multiprocessing import resource_tracker, shared_memory
@@ -44,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import nn
 from ..obs.log import get_logger
 
 _LOG = get_logger(__name__)
@@ -73,26 +76,17 @@ def slab_name(index: int, kind: str) -> str:
 
 
 class SlabLayout:
-    """Fixed offsets of an ordered list of float64 tensors in one slab."""
+    """An ordered list of float64 tensors as one payload vector, laid out
+    by :func:`repro.nn.unflatten_vector`."""
 
     def __init__(self, shapes: Sequence[Tuple[int, ...]]):
         self.shapes: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(int(d) for d in shape) for shape in shapes
         )
-        self.sizes: Tuple[int, ...] = tuple(
-            int(np.prod(shape, dtype=np.int64)) if shape else 1
-            for shape in self.shapes
-        )
-        offsets: List[int] = []
-        cursor = 0
-        for size in self.sizes:
-            offsets.append(cursor)
-            cursor += size
-        self.offsets: Tuple[int, ...] = tuple(offsets)
         #: Total float64 elements in the payload.
-        self.total_elems = cursor
+        self.total_elems = sum(math.prod(shape) for shape in self.shapes)
         #: Total bytes including the header.
-        self.total_bytes = _HEADER_BYTES + cursor * np.dtype(np.float64).itemsize
+        self.total_bytes = _HEADER_BYTES + self.total_elems * np.dtype(np.float64).itemsize
 
     def __len__(self) -> int:
         return len(self.shapes)
@@ -192,10 +186,7 @@ class TensorSlab:
             buffer=segment.buf,
             offset=_HEADER_BYTES,
         )
-        self._views: List[np.ndarray] = [
-            self._payload[offset : offset + size].reshape(shape)
-            for offset, size, shape in zip(layout.offsets, layout.sizes, layout.shapes)
-        ]
+        self._views: List[np.ndarray] = nn.unflatten_vector(self._payload, layout.shapes)
 
     # ------------------------------------------------------------------
     @property
@@ -251,11 +242,38 @@ class TensorSlab:
                     f"slab expects {view.shape}"
                 )
             view[...] = array
+        return self._stamp(seq, episode, round_index)
+
+    def write_vector(
+        self,
+        vector: np.ndarray,
+        seq: int,
+        episode: int = -1,
+        round_index: int = -1,
+    ) -> int:
+        """:meth:`write` of the whole payload as one flat vector."""
+        if vector.shape != self._payload.shape:
+            raise ValueError(
+                f"shape mismatch writing slab: got {vector.shape}, "
+                f"slab expects {self._payload.shape}"
+            )
+        self._payload[...] = vector
+        return self._stamp(seq, episode, round_index)
+
+    def _stamp(self, seq: int, episode: int, round_index: int) -> int:
+        """Stamp the header after the payload write; returns bytes."""
         self._header[1] = episode
         self._header[2] = round_index
         self._header[3] = self.layout.total_elems
         self._header[0] = seq
         return self.nbytes
+
+    def _check(self, expected_seq: int) -> None:
+        seq = int(self._header[0])
+        if seq != expected_seq:
+            raise SlabStale(
+                f"slab {self.name}: header seq {seq} != expected {expected_seq}"
+            )
 
     def read(self, expected_seq: int, copy: bool = True) -> List[np.ndarray]:
         """The tensor list stamped with ``expected_seq``.
@@ -264,14 +282,15 @@ class TensorSlab:
         the consumer finishes with them before the next write (the
         worker's parameter sync copies into ``p.data`` immediately).
         """
-        seq = int(self._header[0])
-        if seq != expected_seq:
-            raise SlabStale(
-                f"slab {self.name}: header seq {seq} != expected {expected_seq}"
-            )
+        self._check(expected_seq)
         if not copy:
             return list(self._views)
         return [view.copy() for view in self._views]
+
+    def read_vector(self, expected_seq: int) -> np.ndarray:
+        """A copy of the whole payload stamped with ``expected_seq``."""
+        self._check(expected_seq)
+        return self._payload.copy()
 
     def header(self) -> Dict[str, int]:
         """The current header as a dict (diagnostics and tests)."""

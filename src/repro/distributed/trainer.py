@@ -1003,25 +1003,22 @@ class ChiefEmployeeTrainer:
     # ------------------------------------------------------------------
     def _apply_policy_gradients(self, episode: int) -> None:
         with trace_span("chief.apply_gradients", kind="policy", episode=episode):
-            grads, count = self.ppo_buffer.drain()
+            grad, count = self.ppo_buffer.drain_vector()
             num_employees = self.config.num_employees
             self._require_quorum(count, "a PPO gradient round", episode)
             if count != num_employees:
                 # Degraded quorum: unbias the partial sum so the expected step
                 # matches the full-barrier sum of M contributions.
-                scale = num_employees / count
-                grads = [grad * scale for grad in grads]
+                grad *= num_employees / count
                 self.health.degraded_rounds += 1
                 self._metrics["degraded"].inc()
                 trace_event(
                     "barrier.degraded", episode=episode, count=count, of=num_employees
                 )
-            params = self.global_agent.policy_parameters()
-            max_norm = self.global_agent.ppo.max_grad_norm
-            for param, grad in zip(params, grads):
-                param.grad = grad
-            nn.clip_grad_norm(params, max_norm)
-            self.policy_optimizer.step()
+            nn.clip_grad_vector(
+                grad, self.policy_optimizer.params, self.global_agent.ppo.max_grad_norm
+            )
+            self.policy_optimizer.step_flat(grad)
 
     def _apply_curiosity_gradients(self, episode: int) -> None:
         if self.curiosity_optimizer is None:
@@ -1030,7 +1027,7 @@ class ChiefEmployeeTrainer:
         if self.curiosity_buffer.count == 0:
             return
         with trace_span("chief.apply_gradients", kind="curiosity", episode=episode):
-            grads, count = self.curiosity_buffer.drain()
+            grad, count = self.curiosity_buffer.drain_vector()
             num_employees = self.config.num_employees
             if count < self.config.quorum_size:
                 # The curiosity model is auxiliary: below quorum we skip the
@@ -1038,9 +1035,8 @@ class ChiefEmployeeTrainer:
                 self.health.curiosity_skipped_rounds += 1
                 return
             if count != num_employees:
-                scale = num_employees / count
-                grads = [grad * scale for grad in grads]
-            self.curiosity_optimizer.apply_gradients(grads)
+                grad *= num_employees / count
+            self.curiosity_optimizer.step_flat(grad)
 
     # ------------------------------------------------------------------
     # One episode of the synchronous loop
@@ -1121,13 +1117,15 @@ class ChiefEmployeeTrainer:
                     )
                 accepted = True
                 try:
-                    self.ppo_buffer.add(pack.policy, employee=index)
+                    self.ppo_buffer.add_vector(pack.policy_vector, employee=index)
                 except GradientRejected:
                     self._note_quarantine(index, episode, round_index, "policy")
                     accepted = False
                 if pack.curiosity:
                     try:
-                        self.curiosity_buffer.add(pack.curiosity, employee=index)
+                        self.curiosity_buffer.add_vector(
+                            pack.curiosity_vector, employee=index
+                        )
                     except GradientRejected:
                         self._note_quarantine(index, episode, round_index, "curiosity")
                 if accepted:

@@ -162,10 +162,9 @@ class ChiefChannel(abc.ABC):
         """
 
     @abc.abstractmethod
-    def read_gradients(
-        self, expected_seq: int
-    ) -> Tuple[List[np.ndarray], int]:
-        """The gradient arrays stamped ``expected_seq`` plus payload bytes."""
+    def read_gradients(self, expected_seq: int) -> Tuple[np.ndarray, int]:
+        """The gradient vector stamped ``expected_seq`` (a fresh copy)
+        plus payload bytes."""
 
     # -- introspection -------------------------------------------------
     def slab_names(self) -> List[str]:
@@ -196,12 +195,13 @@ class WorkerEndpoint(abc.ABC):
     @abc.abstractmethod
     def send_gradients(
         self,
-        arrays: Sequence[np.ndarray],
+        vector: np.ndarray,
         seq: int,
         episode: int,
         round_index: int,
     ) -> None:
-        """Ship/stage the gradient return for the command stamped ``seq``."""
+        """Ship/stage the gradient vector for the command stamped ``seq``
+        (laid out by :func:`repro.nn.unflatten_vector` over the shapes)."""
 
     @abc.abstractmethod
     def close(self) -> None:

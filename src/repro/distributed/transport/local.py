@@ -122,9 +122,8 @@ class LocalChiefChannel(ChiefChannel):
                 f"employee {self.index}: pipe EOF (worker process died)"
             ) from error
 
-    def read_gradients(self, expected_seq: int) -> Tuple[List[np.ndarray], int]:
-        arrays = self._grads.read(expected_seq=expected_seq, copy=True)
-        return arrays, self._grads.nbytes
+    def read_gradients(self, expected_seq: int) -> Tuple[np.ndarray, int]:
+        return self._grads.read_vector(expected_seq), self._grads.nbytes
 
     # -- introspection -------------------------------------------------
     def slab_names(self) -> List[str]:
@@ -156,12 +155,12 @@ class LocalWorkerEndpoint(WorkerEndpoint):
 
     def send_gradients(
         self,
-        arrays: Sequence[np.ndarray],
+        vector: np.ndarray,
         seq: int,
         episode: int,
         round_index: int,
     ) -> None:
-        self._grads.write(arrays, seq=seq, episode=episode, round_index=round_index)
+        self._grads.write_vector(vector, seq=seq, episode=episode, round_index=round_index)
 
     def close(self) -> None:
         if self._closed:

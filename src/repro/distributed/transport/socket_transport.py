@@ -529,7 +529,7 @@ class SocketChiefChannel(ChiefChannel):
         if stream is not None:
             self._drop_stream(stream, reason)
 
-    def read_gradients(self, expected_seq: int) -> Tuple[List[np.ndarray], int]:
+    def read_gradients(self, expected_seq: int) -> Tuple[np.ndarray, int]:
         with self._cond:
             message = self._tensors.pop(expected_seq, None)
         if message is None:
@@ -540,7 +540,7 @@ class SocketChiefChannel(ChiefChannel):
                 f"employee {self.index}: gradient payload for seq "
                 f"{expected_seq} never arrived"
             )
-        return list(message.arrays), message.nbytes
+        return message.vector, message.nbytes
 
     # -- introspection -------------------------------------------------
     def connected(self) -> bool:
@@ -990,13 +990,13 @@ class SocketWorkerEndpoint(WorkerEndpoint):
 
     def send_gradients(
         self,
-        arrays: Sequence[np.ndarray],
+        vector: np.ndarray,
         seq: int,
         episode: int,
         round_index: int,
     ) -> None:
         payload = encode_tensors(
-            arrays,
+            (vector,),
             seq=seq,
             episode=episode,
             round_index=round_index,

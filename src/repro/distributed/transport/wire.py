@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
+from ... import nn
 from .framing import FrameError
 
 __all__ = [
@@ -53,13 +54,18 @@ def payload_nbytes(shapes: Sequence[Tuple[int, ...]]) -> int:
 
 @dataclass(frozen=True)
 class TensorMessage:
-    """A decoded TENSORS payload: stamped metadata plus float64 arrays."""
+    """A decoded TENSORS payload: stamped metadata plus float64 arrays.
+
+    ``vector`` is the whole payload, copied once out of the frame;
+    ``arrays`` are its per-tensor views (:func:`repro.nn.unflatten_vector`).
+    """
 
     seq: int
     episode: int
     round: int
     arrays: Tuple[np.ndarray, ...]
     nbytes: int
+    vector: np.ndarray
 
 
 def encode_tensors(
@@ -68,7 +74,8 @@ def encode_tensors(
     episode: int = -1,
     round_index: int = -1,
 ) -> bytes:
-    """Serialize float64 ``arrays`` into one TENSORS payload."""
+    """Serialize float64 ``arrays`` into one TENSORS payload (a single flat
+    vector of the whole layout gives the same bytes)."""
     chunks = [
         TENSOR_HEADER.pack(int(seq), int(episode), int(round_index), _FLOAT64_CODE)
     ]
@@ -100,17 +107,12 @@ def decode_tensors(
             f"tensor payload is {len(payload)} bytes but the agreed layout "
             f"needs {expected} ({len(shapes)} arrays)"
         )
-    arrays: List[np.ndarray] = []
-    offset = TENSOR_HEADER.size
-    for shape in shapes:
-        elems = int(np.prod(shape, dtype=np.int64))
-        flat = np.frombuffer(payload, dtype=_FLOAT64, count=elems, offset=offset)
-        arrays.append(flat.reshape(shape).copy())
-        offset += elems * _FLOAT64.itemsize
+    vector = np.frombuffer(payload, dtype=_FLOAT64, offset=TENSOR_HEADER.size).copy()
     return TensorMessage(
         seq=int(seq),
         episode=int(episode),
         round=int(round_index),
-        arrays=tuple(arrays),
+        arrays=tuple(nn.unflatten_vector(vector, shapes)),
         nbytes=len(payload),
+        vector=vector,
     )

@@ -43,9 +43,11 @@ from .optim import (
     Optimizer,
     RMSprop,
     clip_grad_norm,
+    clip_grad_vector,
     flatten_gradients,
     global_grad_norm,
     unflatten_vector,
+    vector_grad_norm,
 )
 from .schedulers import CosineDecay, LinearDecay, Scheduler, StepDecay
 from .serialization import load_module, load_state_dict_file, save_module
@@ -132,7 +134,9 @@ __all__ = [
     "Adam",
     "RMSprop",
     "clip_grad_norm",
+    "clip_grad_vector",
     "global_grad_norm",
+    "vector_grad_norm",
     "flatten_gradients",
     "unflatten_vector",
     "Scheduler",

@@ -48,78 +48,70 @@ class _KernelPlan:
     key (the batch size is not part of it), replaces both:
 
     * :meth:`gather` — one ``np.take`` of a precomputed flat ``(C, H, W)``
-      index (row ``c*K² + ki*K + kj``, column ``oh*out_w + ow``) over the
-      batch-minor ``(C*H*W, N)`` view of the input: a pure copy, so every
-      value is the legacy one.  The *layout* is kept too.  The legacy
-      ``cols`` was a non-contiguous ``(N, R, P)`` view over an ``(R, P,
-      N)`` buffer, and the forward contraction was taken to run numpy's
-      own (non-BLAS) loop on it, whose accumulation order would depend on
-      the operand strides; so ``gather`` takes into an ``(R, P, N)`` base
-      and returns the same ``moveaxis`` view (:meth:`gather` records a
-      measurement where a contiguous copy gave the same bytes);
-    * :meth:`scatter_add` — col2im as ``K²`` strided-slice ``+=`` ops in
-      ``(ki, kj)`` row-major order, the order in which ``np.add.at``
-      accumulated each cell's duplicate targets, into a ``(C, H, W, N)``
-      accumulator that starts at +0.0, so each add's inner loop runs over
-      the contiguous batch rather than an ``out_w`` of two.  Every cell
-      sums the same terms in the same order from the same +0.0, so every
-      gradient bit, signed zeros and NaNs included, is kept.
+      index (row ``c*K² + ki*K + kj``, column ``oh*out_w + ow``) along the
+      rows of the ``(N, C*H*W)`` input, straight into C-contiguous
+      ``(N, R, P)`` columns: a pure copy, so every value is the legacy
+      one.  The legacy columns were an ``(R, P, N)`` buffer viewed as
+      ``(N, R, P)``; the conv contractions return the same bytes on
+      either layout (see :meth:`gather` for the evidence), and the
+      contiguous one skips the ``moveaxis`` and runs them faster;
+    * :meth:`scatter_add` — col2im as one ``np.bincount`` of the columns
+      onto their flat input cells.  ``bincount`` adds each weight into its
+      cell in array order, starting from +0.0; in the columns' C order
+      ``(n, c, ki, kj, oh, ow)`` each cell's contributions arrive in
+      ``(ki, kj)`` row-major order, the order in which ``np.add.at`` (and
+      the ``K²`` strided adds that followed it) accumulated them.  Every
+      cell sums the same terms in the same order from the same +0.0, so
+      every gradient bit, signed zeros, NaNs and infinities included, is
+      kept.  The flat targets depend on the batch size, so they are
+      cached per batch size (:meth:`_plan_targets`).
     """
 
-    __slots__ = ("channels", "kernel", "stride", "out_h", "out_w", "offsets", "index")
+    __slots__ = ("kernel", "stride", "out_h", "out_w", "index", "_targets")
 
     def __init__(self, channels: int, height: int, width: int, kernel: int, stride: int):
-        self.channels = channels
         self.kernel = kernel
         self.stride = stride
         self.out_h = (height - kernel) // stride + 1
         self.out_w = (width - kernel) // stride + 1
-        self.offsets = tuple(
-            (
-                ki,
-                kj,
-                slice(ki, ki + stride * self.out_h, stride),
-                slice(kj, kj + stride * self.out_w, stride),
-            )
-            for ki in range(kernel)
-            for kj in range(kernel)
-        )
         taps = np.arange(kernel)
         rows = (np.arange(channels)[:, None, None] * height + taps[:, None]) * width + taps
         cols = np.arange(self.out_h)[:, None] * (stride * width) + np.arange(self.out_w) * stride
         self.index = rows.reshape(-1, 1) + cols.reshape(1, -1)
+        self._targets: dict = {}
 
     def gather(self, x_data: np.ndarray) -> np.ndarray:
-        """im2col: (N, C, H, W) -> (N, C*K*K, out_h*out_w) columns.
+        """im2col: (N, C, H, W) -> C-contiguous (N, C*K*K, out_h*out_w) columns.
 
-        Returns the legacy layout: an ``(R, P, N)``-contiguous buffer
-        viewed as ``(N, R, P)``, matching what fancy indexing produced
-        (see the class docstring for why the strides matter).
-
-        Measured on numpy 2.4.6 with OpenBLAS 0.3.31 (2-vCPU x86-64 VM),
-        the stride dependence did not show for the policy trunk's three
-        convolutions at B in {1, 2, 40}: ``np.matmul(w_flat, cols)`` on a
-        C-contiguous ``(N, R, P)`` copy returned the bytes of this view,
-        and ``_conv_grad_weight`` did too.  On the copy the forward ran
-        2.0-2.9x faster at B = 40 (1.0-1.4x counting the copy) and the
-        weight gradient 1.1-1.4x.  A layout change still needs its own
-        bit check across platforms; ``tests/nn/test_perf_parity.py`` pins
-        the strides this method returns.
+        On these columns :func:`_conv_forward_contract` and
+        :func:`_conv_grad_weight` return the bytes they returned on the
+        legacy ``(R, P, N)``-strided view.  Measured with numpy 2.4 and
+        OpenBLAS 0.3.31 on x86-64 (default core type,
+        ``OPENBLAS_CORETYPE=Haswell`` and ``Prescott``): 0 differences
+        over B in {1..8, 16, 40, 41, 80}, the smoke and paper trunk
+        shapes and 3 seeds; ``tests/nn/test_perf_parity.py`` pins it.
         """
-        base = np.take(x_data.reshape(x_data.shape[0], -1).T, self.index, axis=0)
-        return np.moveaxis(base, 2, 0)
+        return np.take(x_data.reshape(x_data.shape[0], -1), self.index, axis=1)
+
+    def _plan_targets(self, batch: int, cells: int) -> np.ndarray:
+        """Flat ``(N, C, H, W)`` cell of every column element, C order."""
+        targets = self._targets.get(batch)
+        if targets is None:
+            # A run sees a few batch sizes; the cap only guards sweeps.
+            if len(self._targets) >= 8:
+                self._targets.clear()
+            targets = (np.arange(batch)[:, None, None] * cells + self.index).ravel()
+            self._targets[batch] = targets
+        return targets
 
     def scatter_add(self, grad_cols: np.ndarray, x_data: np.ndarray) -> np.ndarray:
         """col2im: (N, C*K*K, P) columns onto a fresh C-contiguous (N, C, H, W)."""
-        batch = grad_cols.shape[0]
-        kernel = self.kernel
-        windows = grad_cols.reshape(batch, -1).T.copy().reshape(
-            self.channels, kernel, kernel, self.out_h, self.out_w, batch
-        )
-        acc = np.zeros(x_data.shape[1:] + (batch,), dtype=x_data.dtype)
-        for ki, kj, rows, cols in self.offsets:
-            acc[:, rows, cols] += windows[:, ki, kj]
-        return np.ascontiguousarray(acc.transpose(3, 0, 1, 2))
+        batch = x_data.shape[0]
+        cells = x_data[0].size
+        targets = self._plan_targets(batch, cells)
+        return np.bincount(
+            targets, weights=grad_cols.ravel(), minlength=batch * cells
+        ).reshape(x_data.shape)
 
 
 _PLAN_CACHE: dict = {}
@@ -163,8 +155,17 @@ def _conv_forward_contract(w_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _conv_grad_weight(grad_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Weight-gradient contraction ``(N, O, P) x (N, R, P) -> (O, R)``."""
-    return np.tensordot(grad_flat, cols, axes=([0, 2], [0, 2]))
+    """Weight-gradient contraction ``(N, O, P) x (N, R, P) -> (O, R)``.
+
+    The transposes, reshapes and ``np.dot`` that
+    ``np.tensordot(grad_flat, cols, axes=([0, 2], [0, 2]))`` runs, without
+    the wrapper: the same BLAS call on the same operand layouts.
+    """
+    batch, out_channels, positions = grad_flat.shape
+    return np.dot(
+        grad_flat.transpose(1, 0, 2).reshape(out_channels, batch * positions),
+        cols.transpose(0, 2, 1).reshape(batch * positions, cols.shape[1]),
+    )
 
 
 def _conv_grad_cols(w_flat: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
@@ -221,7 +222,7 @@ def _conv2d_grad(grad, saved, needed):
     # grad: (N, O, out_h, out_w) -> (N, O, P)
     grad_flat = grad.reshape(x.shape[0], w_shape[0], -1)
     return (
-        # col2im via order-preserving strided adds (see _KernelPlan);
+        # col2im via one order-preserving bincount (see _KernelPlan);
         # elided entirely when the input does not require grad (conv1).
         plan.scatter_add(_conv_grad_cols(w_flat, grad_flat), x) if 0 in needed else None,
         _conv_grad_weight(grad_flat, cols).reshape(w_shape) if 1 in needed else None,
@@ -275,14 +276,13 @@ def _avg_pool2d(x, plan):
 
 def _avg_pool2d_grad(grad, saved, needed):
     x, plan = saved
-    # Every window slot receives grad/K²; instead of materializing the
-    # K²-fold np.repeat the old col2im needed, add the scaled grad once
-    # per kernel offset — identical per-cell accumulation order.
-    scaled = grad / (plan.kernel * plan.kernel)
-    grad_x = np.zeros_like(x)
-    for __, __, rows, cols in plan.offsets:
-        grad_x[:, :, rows, cols] += scaled
-    return (grad_x,)
+    # Every window slot receives grad/K², added in (ki, kj) order per cell
+    # by the plan's scatter.
+    batch, channels = x.shape[:2]
+    window = plan.kernel * plan.kernel
+    scaled = (grad / window).reshape(batch, channels, 1, -1)
+    grad_cols = np.broadcast_to(scaled, (batch, channels, window, scaled.shape[3]))
+    return (plan.scatter_add(np.ascontiguousarray(grad_cols), x),)
 
 
 AVG_POOL2D = Op("avg_pool2d", _avg_pool2d, _avg_pool2d_grad)

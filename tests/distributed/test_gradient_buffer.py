@@ -1,5 +1,6 @@
 """Tests for the thread-safe gradient buffer."""
 
+import math
 import threading
 
 import numpy as np
@@ -144,3 +145,170 @@ class TestThreadSafety:
         grads, count = buffer.drain()
         assert count == 32
         np.testing.assert_array_equal(grads[0], np.full(4, 32.0))
+
+
+class TestRejectionMessages:
+    """The list path and the vector path reject with the same words."""
+
+    SHAPES = [(3,), (2, 2)]
+
+    @pytest.mark.parametrize("path", ["list", "vector"])
+    def test_non_finite_names_the_first_bad_parameter(self, path):
+        buffer = GradientBuffer(2, shapes=self.SHAPES)
+        grads = [np.array([1.0, np.inf, 2.0]), np.array([[np.nan, 1.0], [1.0, 1.0]])]
+        with pytest.raises(GradientRejected) as caught:
+            if path == "list":
+                buffer.add(grads, employee=4)
+            else:
+                buffer.add_vector(np.concatenate([g.ravel() for g in grads]), employee=4)
+        assert str(caught.value) == (
+            "non-finite gradient at parameter index 0 (quarantined before accumulation)"
+        )
+        assert buffer.rejections == {4: 1}
+
+    @pytest.mark.parametrize("path", ["list", "vector"])
+    def test_norm_explosion_message(self, path):
+        buffer = GradientBuffer(2, shapes=self.SHAPES, max_norm=10.0)
+        grads = [np.full(3, 100.0), np.full((2, 2), 100.0)]
+        with pytest.raises(GradientRejected) as caught:
+            if path == "list":
+                buffer.add(grads)
+            else:
+                buffer.add_vector(np.concatenate([g.ravel() for g in grads]))
+        assert str(caught.value) == (
+            "gradient norm 2.646e+02 exceeds quarantine threshold 1.000e+01"
+        )
+
+    def test_vector_of_the_wrong_size_is_refused(self):
+        buffer = GradientBuffer(2, shapes=self.SHAPES)
+        with pytest.raises(ValueError, match=r"expected \(7,\)"):
+            buffer.add_vector(np.ones(6))
+        assert buffer.count == 0
+
+
+# ----------------------------------------------------------------------
+# The chief's flat path against the per-parameter lists it replaced
+# ----------------------------------------------------------------------
+def reference_chief_round(state, contributions, num_employees, max_grad_norm, max_norm, lr):
+    """One chief round as it ran on per-parameter lists: sum list by list
+    (quarantining non-finite and norm-exploded contributions), unbias a
+    degraded round, clip by the global norm, one Adam step per
+    parameter.  ``state`` holds ``params``, ``m``, ``v`` and ``t``."""
+    total, count = None, 0
+    for grads in contributions:
+        if not all(np.all(np.isfinite(g)) for g in grads):
+            continue
+        if max_norm > 0.0:
+            squares = 0.0
+            for grad in grads:
+                squares += float(np.sum(np.asarray(grad, dtype=np.float64) ** 2))
+            if float(np.sqrt(squares)) > max_norm:
+                continue
+        if total is None:
+            total = [np.array(g, dtype=np.float64, copy=True) for g in grads]
+        else:
+            for acc, grad in zip(total, grads):
+                acc += grad
+        count += 1
+    if count != num_employees:
+        total = [grad * (num_employees / count) for grad in total]
+    squares = 0.0
+    for grad in total:
+        squares += float(np.sum(grad * grad))
+    norm = math.sqrt(squares)
+    if norm > max_grad_norm and norm > 0.0:
+        for grad in total:
+            grad *= max_grad_norm / norm
+    state["t"] += 1
+    bias1 = 1.0 - 0.9 ** state["t"]
+    bias2 = 1.0 - 0.999 ** state["t"]
+    for param, m, v, grad in zip(state["params"], state["m"], state["v"], total):
+        m *= 0.9
+        m += (1.0 - 0.9) * grad
+        square = (1.0 - 0.999) * grad
+        square *= grad
+        v *= 0.999
+        v += square
+        update = m / bias1
+        update *= lr
+        denominator = v / bias2
+        np.sqrt(denominator, out=denominator)
+        denominator += 1e-8
+        update /= denominator
+        param -= update
+    return count
+
+
+class TestChiefRoundsOnVectors:
+    """Rounds through the trainer's buffer, clip and Adam on one vector
+    give the bytes of the per-list chief: parameters, ``m`` and ``v``."""
+
+    #: (gradient scale per employee, or None for an absent employee), and
+    #: how many contributions each round sums.
+    COUNTS = [3, 3, 2, 2, 2, 3]
+    ROUNDS = [
+        (1e-5, 2e-5, 3e-5),  # small: no clip
+        (1.0, 0.5, 2.0),  # clips
+        (1.0, None, 0.5),  # degraded quorum: 2 of 3
+        (1.0, "nan", 0.5),  # a quarantined non-finite contribution
+        (1.0, 1e6, 0.5),  # over quarantine_max_norm
+        (1e-5, 1.0, 1e-3),
+    ]
+
+    def test_rounds_reproduce_the_per_list_bytes(self):
+        from repro.agents import PPOConfig
+        from repro.distributed import TrainConfig, build_trainer
+        from repro.env import smoke_config
+
+        trainer = build_trainer(
+            "cews",
+            smoke_config(seed=5, horizon=10, num_pois=15),
+            train=TrainConfig(
+                num_employees=3, quorum_fraction=0.5, quarantine_max_norm=1e4, seed=0
+            ),
+            ppo=PPOConfig(batch_size=10, epochs=1, learning_rate=1e-3),
+        )
+        try:
+            params = trainer.global_agent.policy_parameters()
+            optimizer = trainer.policy_optimizer
+            state = {
+                "params": [p.data.copy() for p in params],
+                "m": [np.zeros(p.data.shape) for p in params],
+                "v": [np.zeros(p.data.shape) for p in params],
+                "t": 0,
+            }
+            rng = np.random.default_rng(41)
+            for round_index, scales in enumerate(self.ROUNDS):
+                contributions = []
+                for index, scale in enumerate(scales):
+                    if scale is None:
+                        continue
+                    grads = [rng.normal(size=p.data.shape) for p in params]
+                    if scale == "nan":
+                        grads[3][0] = np.nan
+                    else:
+                        grads = [g * scale for g in grads]
+                    contributions.append(grads)
+                    vector = np.concatenate([g.ravel() for g in grads])
+                    try:
+                        trainer.ppo_buffer.add_vector(vector, employee=index)
+                    except GradientRejected:
+                        pass
+                trainer._apply_policy_gradients(episode=0)
+                count = reference_chief_round(
+                    state,
+                    contributions,
+                    num_employees=3,
+                    max_grad_norm=trainer.global_agent.ppo.max_grad_norm,
+                    max_norm=1e4,
+                    lr=optimizer.lr,
+                )
+                assert count == self.COUNTS[round_index]
+                saved = optimizer.state_dict()
+                for i, param in enumerate(params):
+                    assert param.data.tobytes() == state["params"][i].tobytes(), (round_index, i)
+                    assert saved["m"][i].tobytes() == state["m"][i].tobytes(), (round_index, i)
+                    assert saved["v"][i].tobytes() == state["v"][i].tobytes(), (round_index, i)
+            assert trainer.health.degraded_rounds == 3
+        finally:
+            trainer.close()

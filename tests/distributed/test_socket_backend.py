@@ -107,6 +107,49 @@ class TestSocketBitwise:
             assert np.array_equal(got_arrays[key], ref_arrays[key]), key
         assert own_shm_segments() == []  # socket backend uses no slabs
 
+    def test_socket_gradient_pack_equals_the_process_pack(self, config, ppo):
+        """One minibatch's pack read over loopback TCP is the pack read
+        from the shared-memory slab, byte for byte: one vector whose
+        policy and curiosity views are the per-parameter gradients."""
+        from repro.distributed.procpool import (
+            OP_EXPLORE,
+            OP_MINIBATCH,
+            ProcessEmployeePool,
+        )
+
+        agent_factory, env_factory = build_worker_factories(
+            "cews", config, ppo=ppo, seed=0
+        )
+        reference = agent_factory(0)
+        params = reference.policy_parameters() + reference.curiosity_parameters()
+        arrays = [p.data for p in params]
+        state = np.random.default_rng(3).bit_generator.state
+        packs = {}
+        for transport in ("local", "socket"):
+            with ProcessEmployeePool(
+                agent_factory,
+                env_factory,
+                1,
+                shapes=[a.shape for a in arrays],
+                num_policy_params=len(reference.policy_parameters()),
+                initial_rng_states=[state],
+                transport=transport,
+            ) as pool:
+                pool.sync(arrays, [state], episode=0)
+                pool.submit(0, OP_EXPLORE, episode=0)
+                pool.wait(0, None, "explore")
+                pool.submit(0, OP_MINIBATCH, 0, 0, batch_size=ppo.batch_size)
+                packs[transport] = pool.wait(0, None, "gradients")[0]
+        local, remote = packs["local"], packs["socket"]
+        assert remote.vector.dtype == local.vector.dtype == np.float64
+        assert remote.vector.tobytes() == local.vector.tobytes()
+        assert len(remote.curiosity) == len(reference.curiosity_parameters()) > 0
+        for pack in (local, remote):
+            views = pack.policy + pack.curiosity
+            assert [v.shape for v in views] == [a.shape for a in arrays]
+            assert all(np.shares_memory(v, pack.vector) for v in views)
+            assert np.concatenate([v.ravel() for v in views]).tobytes() == pack.vector.tobytes()
+
     def test_fleet_registry_tracks_connections(self, config, ppo):
         trainer = make_trainer(config, ppo, backend="socket", episodes=1)
         transport = trainer._proc_pool.transport

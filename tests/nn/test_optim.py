@@ -157,6 +157,27 @@ class TestGradClipping:
         nn.clip_grad_norm([a], max_norm=1.0)
         np.testing.assert_allclose(a.grad, [0.5])
 
+    #: The CNN actor-critic's parameter shapes at the smoke scale.
+    POLICY_SHAPES = [(8, 3, 3, 3), (8,), (8,), (8,), (16, 8, 3, 3), (16,), (16,), (16,),
+                     (16, 16, 3, 3), (16,), (16,), (16,), (128, 256), (128,), (9, 130),
+                     (9,), (1, 128), (1,)]
+
+    def test_vector_norm_and_clip_keep_the_list_bits(self):
+        """One square over the vector, then one sum per parameter view, in
+        order: the partial sums of the list path, so the same bits (a
+        single sum over the whole vector differs in about a third of
+        these draws)."""
+        rng = np.random.default_rng(8)
+        for __ in range(50):
+            params = [Parameter(np.zeros(s)) for s in self.POLICY_SHAPES]
+            for param in params:
+                param.grad = rng.normal(size=param.data.shape) * 10.0 ** rng.integers(-3, 3)
+            vector = nn.flatten_gradients(params)
+            assert nn.vector_grad_norm(vector, params) == nn.global_grad_norm(params)
+            norm = nn.clip_grad_vector(vector, params, max_norm=0.5)
+            assert norm == nn.clip_grad_norm(params, max_norm=0.5)
+            assert vector.tobytes() == nn.flatten_gradients(params).tobytes()
+
 
 def reference_adam(datas, grad_steps, lr=0.01, betas=(0.9, 0.999), eps=1e-8):
     """Adam spelled out of place, as the optimizer computed it before its

@@ -1,9 +1,10 @@
 """Parity gates for the optimized hot paths in :mod:`repro.nn.functional`.
 
 The optimizations (cached kernel plans whose im2col is one ``np.take`` of
-a precomputed flat index and whose col2im is ``K²`` batch-minor strided
-adds, the fused softmax family and channel layer norm, ``no_grad`` tape
-elision) all promise *bitwise* equivalence with the code they replaced.
+a precomputed flat index into contiguous ``(N, R, P)`` columns and whose
+col2im is one ordered ``np.bincount``, the fused softmax family and
+channel layer norm, ``no_grad`` tape elision) all promise *bitwise*
+equivalence with the code they replaced.
 These tests pin that promise three ways:
 
 * against the **legacy implementation** (fancy-index im2col + ``np.add.at``
@@ -51,8 +52,19 @@ def legacy_scatter(grad_cols, x_data, kernel, stride):
     return grad_x
 
 
+def legacy_conv_forward(w_flat, legacy_cols):
+    """The forward contraction on the legacy strided columns."""
+    return np.matmul(w_flat, legacy_cols)
+
+
+def legacy_conv_grad_weight(grad_flat, legacy_cols):
+    """The weight-gradient contraction as it was spelled, on the legacy
+    strided columns."""
+    return np.tensordot(grad_flat, legacy_cols, axes=([0, 2], [0, 2]))
+
+
 def strided_scatter(grad_cols, x_data, kernel, stride):
-    """The previous col2im: K² strided ``+=`` straight onto (N, C, H, W)."""
+    """An earlier col2im: K² strided ``+=`` straight onto (N, C, H, W)."""
     batch, channels, height, width = x_data.shape
     out_h = (height - kernel) // stride + 1
     out_w = (width - kernel) // stride + 1
@@ -99,9 +111,16 @@ SWEEP = [
 ]
 
 # (channels, padded side, stride) of the CNN trunk's three 3x3 convs on
-# the 8x8 grid, at a single row and at the smoke minibatch size.
+# the smoke (8x8) and paper (16x16) grids, at every acting batch of up to
+# eight rows, the smoke minibatch and twice it.
 TRUNK = [(3, 10, 1), (8, 10, 2), (16, 6, 2)]
-TRUNK_SWEEP = [(batch,) + shape for batch in (1, 40) for shape in TRUNK]
+PAPER_TRUNK = [(3, 18, 1), (8, 18, 2), (16, 10, 2)]
+BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 40, 80)
+TRUNK_SWEEP = [
+    (batch,) + shape for batch in BATCHES for shape in TRUNK + PAPER_TRUNK
+]
+#: Output channels of the trunk conv reading ``channels`` input channels.
+TRUNK_OUT = {3: 8, 8: 16, 16: 16}
 
 
 def with_specials(values, rng):
@@ -138,10 +157,8 @@ class TestConv2dSweep:
         new = plan.gather(x)
         old = legacy_gather(x, 3, stride)
         assert new.shape == old.shape
+        assert new.flags.c_contiguous
         assert new.tobytes() == old.tobytes()
-        # The einsum bit-freeze also depends on the stride pattern: the
-        # legacy cols were an (R, P, N)-contiguous buffer viewed (N, R, P).
-        assert new.strides == old.strides
 
     @pytest.mark.parametrize("stride,padding,spatial", SWEEP)
     def test_scatter_bitwise_matches_add_at(self, stride, padding, spatial):
@@ -159,13 +176,31 @@ class TestConv2dSweep:
 
     @pytest.mark.parametrize("batch,channels,side,stride", TRUNK_SWEEP)
     def test_trunk_gather_bitwise_with_legacy_strides(self, batch, channels, side, stride):
+        """The columns are C-contiguous ``(N, R, P)`` with the legacy bytes,
+        and both contractions return on them the bytes they return on the
+        legacy ``(R, P, N)``-strided view, on plain and on special values."""
         rng = np.random.default_rng(17)
-        x = rng.normal(size=(batch, channels, side, side))
-        plan = _plan_for(x.shape, 3, stride)
-        new = plan.gather(x)
-        old = legacy_gather(x, 3, stride)
-        assert new.tobytes() == old.tobytes()
-        assert new.strides == old.strides
+        plain = rng.normal(size=(batch, channels, side, side))
+        out_channels = TRUNK_OUT[channels]
+        w_flat = rng.normal(size=(out_channels, channels * 9))
+        plan = _plan_for(plain.shape, 3, stride)
+        plain_grad = rng.normal(size=(batch, out_channels, plan.out_h * plan.out_w))
+        cases = [(plain, plain_grad), (with_specials(plain, rng), with_specials(plain_grad, rng))]
+        for x, grad in cases:
+            new = plan.gather(x)
+            old = legacy_gather(x, 3, stride)
+            assert new.flags.c_contiguous
+            assert new.shape == old.shape
+            assert new.tobytes() == old.tobytes()
+            assert not old.flags.c_contiguous or batch == 1
+            with np.errstate(invalid="ignore"):
+                pairs = [
+                    (F._conv_forward_contract(w_flat, new), legacy_conv_forward(w_flat, old)),
+                    (F._conv_grad_weight(grad, new), legacy_conv_grad_weight(grad, old)),
+                ]
+            for got, want in pairs:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("batch,channels,side,stride", TRUNK_SWEEP)
     def test_trunk_scatter_bitwise_with_special_values(self, batch, channels, side, stride):
@@ -273,6 +308,23 @@ class TestPoolingParity:
             np.ones((2, 2, 1, 9)) / window, window, axis=2
         ).reshape(2, 2 * window, -1)
         expected = legacy_scatter(grad_cols, x_data, 2, 2)
+        assert x.grad.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kernel,stride", [(2, 1), (3, 1), (3, 2)])
+    def test_avg_pool_overlapping_backward_bitwise_with_specials(self, kernel, stride):
+        """Overlapping windows: each cell adds grad/K² once per window in
+        (ki, kj) order, as the earlier per-offset strided adds did."""
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(3, 2, 7, 8)), requires_grad=True)
+        out = F.avg_pool2d(x, kernel, stride)
+        downstream = with_specials(rng.normal(size=out.shape), rng)
+        with np.errstate(invalid="ignore"):
+            out.backward(downstream)
+            window = kernel * kernel
+            grad_cols = np.repeat(
+                (downstream / window).reshape(3, 2, 1, -1), window, axis=2
+            ).reshape(3, 2 * window, -1)
+            expected = strided_scatter(grad_cols, x.data, kernel, stride)
         assert x.grad.tobytes() == expected.tobytes()
 
 
