@@ -102,28 +102,17 @@ class PolicyOutput:
         The policy factorizes over workers and over the two decision types,
         so the joint log-prob is the sum of the parts.
         """
-        return _joint_log_prob(
-            self.move_distribution(), self.charge_distribution(), moves, charges
-        )
+        move_lp = self.move_distribution().log_prob(moves).sum(axis=-1)
+        charge_lp = self.charge_distribution().log_prob(
+            np.asarray(charges, dtype=np.float64)
+        ).sum(axis=-1)
+        return move_lp + charge_lp
 
     def entropy(self) -> nn.Tensor:
         """(B,) total policy entropy (moves + charges, summed over workers)."""
         move_entropy = self.move_distribution().entropy().sum(axis=-1)
         charge_entropy = self.charge_distribution().entropy().sum(axis=-1)
         return move_entropy + charge_entropy
-
-
-def _joint_log_prob(
-    move_dist: nn.Categorical,
-    charge_dist: nn.Bernoulli,
-    moves: np.ndarray,
-    charges: np.ndarray,
-) -> nn.Tensor:
-    move_lp = move_dist.log_prob(moves).sum(axis=-1)
-    charge_lp = charge_dist.log_prob(
-        np.asarray(charges, dtype=np.float64)
-    ).sum(axis=-1)
-    return move_lp + charge_lp
 
 
 def select_actions(
@@ -142,18 +131,32 @@ def select_actions(
     element-wise or a reduction over the last axis, so a row's bits do
     not depend on the rows stacked around it, and a sampled row draws as
     a batch of one — moves first, then charges — from its own generator.
-    Call under :class:`repro.nn.no_grad`.
+
+    It runs on the output's plain arrays, not through Tensor dispatch,
+    but computes what :meth:`PolicyOutput.move_distribution`,
+    :meth:`PolicyOutput.charge_distribution` and
+    :meth:`PolicyOutput.log_prob` compute, op for op and in the same
+    order: ``Categorical.mode``/``sample`` (a Gumbel-max draw),
+    ``Bernoulli.mode``/``sample`` (a uniform draw against the sigmoid),
+    and the registry's own ``log_softmax`` and ``softplus`` kernels.
     """
-    move_dist = output.move_distribution()
-    charge_dist = output.charge_distribution()
-    moves = move_dist.mode()
-    charges = charge_dist.mode()
+    move_logits = output.move_logits.data
+    charge_logits = output.charge_logits.data
+    moves = move_logits.argmax(axis=-1)
+    charges = (charge_logits > 0).astype(np.int64)
     for row, rng in enumerate(rngs):
         if rng is not None:
-            moves[row] = move_dist.sample(rng, row)[0]
-            charges[row] = charge_dist.sample(rng, row)[0]
-    log_prob = _joint_log_prob(move_dist, charge_dist, moves, charges)
-    return moves, charges, log_prob.data
+            logits = move_logits[row : row + 1]
+            moves[row] = (logits + rng.gumbel(size=logits.shape)).argmax(axis=-1)[0]
+            probs = 1.0 / (1.0 + np.exp(-charge_logits[row : row + 1]))
+            charges[row] = (rng.random(probs.shape) < probs)[0]
+    log_probs, __ = F.LOG_SOFTMAX.forward(move_logits, axis=-1)
+    flat_log_probs = log_probs.reshape(-1, move_logits.shape[-1])
+    picked = flat_log_probs[np.arange(len(flat_log_probs)), moves.reshape(-1)]
+    move_lp = picked.reshape(moves.shape).sum(axis=-1)
+    softplus, __ = F.SOFTPLUS.forward(charge_logits)
+    charge_lp = (charge_logits * charges.astype(np.float64) - softplus).sum(axis=-1)
+    return moves, charges, move_lp + charge_lp
 
 
 class CNNActorCritic(nn.Module):

@@ -231,9 +231,7 @@ class PPOWorkerAgent:
         """
         with nn.no_grad():
             outputs = planner.step(row_inputs(states, move_masks, worker_features))
-            moves, charges, log_prob = select_actions(
-                PolicyOutput.from_arrays(outputs), rngs
-            )
+        moves, charges, log_prob = select_actions(PolicyOutput.from_arrays(outputs), rngs)
         return moves, charges, log_prob, outputs["value"]
 
     # ------------------------------------------------------------------

@@ -35,6 +35,7 @@ __all__ = [
     "Action",
     "move_targets",
     "valid_move_mask",
+    "forbid_exhausted",
     "can_charge",
 ]
 
@@ -176,9 +177,14 @@ def valid_move_mask(
     mask[:, _DIAGONAL_MOVES] &= ~a_blocked & ~b_blocked
 
     mask[:, STAY] = True
+    return forbid_exhausted(mask, energy)
 
+
+def forbid_exhausted(mask: np.ndarray, energy: np.ndarray) -> np.ndarray:
+    """Rule (b) in place on a (W, NUM_MOVES) mask: a worker whose energy
+    is exhausted may only stay.  Returns ``mask``."""
     exhausted = np.asarray(energy) <= 1e-12
-    if np.any(exhausted):
+    if exhausted.any():
         mask[exhausted] = False
         mask[exhausted, STAY] = True
     return mask

@@ -29,7 +29,15 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .actions import Action, MOVE_OFFSETS, NUM_MOVES, STAY, can_charge, valid_move_mask
+from .actions import (
+    Action,
+    MOVE_OFFSETS,
+    NUM_MOVES,
+    STAY,
+    can_charge,
+    forbid_exhausted,
+    valid_move_mask,
+)
 from .config import ScenarioConfig
 from .entities import ChargingStations, PoiField, WorkerFleet
 from .generator import Scenario, generate_scenario
@@ -41,6 +49,11 @@ from .state import STATE_CHANNELS, StateEncoder
 __all__ = ["CrowdsensingEnv"]
 
 REWARD_MODES = ("sparse", "dense")
+
+#: Bound on an env's move-mask row memo.  A smoke env visits about 55
+#: distinct worker positions over any number of episodes; a memo that
+#: reaches the bound starts over.
+_MASK_MEMO_ROWS = 4096
 
 
 class CrowdsensingEnv:
@@ -97,10 +110,11 @@ class CrowdsensingEnv:
         self.t = 0
         self._needs_reset = True
         self._sensing_ranges = np.asarray(config.sensing_ranges())
-        # valid_move_mask's result for the exact (positions, energy) bytes
-        # it was last computed on; the space and move_step never change.
-        self._mask_key: Optional[tuple] = None
-        self._mask: Optional[np.ndarray] = None
+        # One worker's valid_move_mask row under rules (a) and (c), keyed
+        # by the bytes of its float64 position.  The row depends on nothing
+        # else (the space and move_step never change), so it outlives
+        # resets; rule (b) reads the live energy on every call.
+        self._mask_rows: Dict[bytes, bytes] = {}
 
     # ------------------------------------------------------------------
     # Interface
@@ -243,29 +257,48 @@ class CrowdsensingEnv:
     def valid_moves(self) -> np.ndarray:
         """(W, NUM_MOVES) validity mask at the current positions.
 
-        The mask is memoized on the exact bytes of ``workers.positions``
-        and ``workers.energy``, so an agent's query and the ``step()``
-        that follows it compute it once; a write to either array from
-        outside misses the memo.  Each call returns a fresh copy, which the
-        caller may mutate without touching the memo.
+        Each worker's row under rules (a) and (c) is memoized on the
+        exact bytes of its position (see :meth:`_move_mask`), so a
+        position the env has seen before costs a dict lookup; a write to
+        ``workers.positions`` from outside simply looks up other keys.
+        Rule (b) reads ``workers.energy`` on every call.  Each call
+        returns a fresh array, which the caller may mutate.
         """
-        return self._move_mask().copy()
+        return self._move_mask()
 
     def _move_mask(self) -> np.ndarray:
-        positions = np.asarray(self.workers.positions)
-        energy = np.asarray(self.workers.energy)
-        key = (
-            positions.dtype.str,
-            positions.shape,
-            positions.tobytes(),
-            energy.dtype.str,
-            energy.shape,
-            energy.tobytes(),
+        """``valid_move_mask`` at the current positions and energies.
+
+        ``valid_move_mask`` is separable by row: a worker's row is a
+        function of its own position bytes, the static obstacle grid
+        and ``move_step``, then rule (b) on its energy.  Rows missing
+        from the memo are computed in one batched call with energies
+        that are not exhausted, and rule (b) is applied afterwards to
+        the assembled mask, so every byte equals a fresh
+        ``valid_move_mask(space, positions, energy, move_step)``.
+        """
+        positions = np.ascontiguousarray(self.workers.positions, dtype=np.float64)
+        raw = positions.tobytes()
+        width = 2 * positions.itemsize
+        keys = [raw[i : i + width] for i in range(0, len(raw), width)]
+        memo = self._mask_rows
+        missed = [key for key in dict.fromkeys(keys) if key not in memo]
+        if missed:
+            if len(memo) + len(missed) > _MASK_MEMO_ROWS:
+                memo.clear()
+                missed = list(dict.fromkeys(keys))
+            rows = valid_move_mask(
+                self.space,
+                np.frombuffer(b"".join(missed)).reshape(-1, 2),
+                np.ones(len(missed)),
+                self.config.move_step,
+            )
+            for key, row in zip(missed, rows):
+                memo[key] = row.tobytes()
+        mask = np.frombuffer(b"".join([memo[key] for key in keys]), dtype=bool)
+        return forbid_exhausted(
+            mask.reshape(len(keys), NUM_MOVES).copy(), self.workers.energy
         )
-        if key != self._mask_key:
-            self._mask = valid_move_mask(self.space, positions, energy, self.config.move_step)
-            self._mask_key = key
-        return self._mask
 
     def charge_possible(self) -> np.ndarray:
         """(W,) mask of workers currently within charging range."""

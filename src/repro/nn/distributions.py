@@ -8,8 +8,6 @@ Both are parameterized by raw logits and provide the differentiable
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import functional as F
@@ -60,15 +58,9 @@ class Categorical:
         """Probabilities as a plain array (detached)."""
         return np.exp(self._log_probs.data)
 
-    def sample(self, rng: np.random.Generator, row: Optional[int] = None) -> np.ndarray:
-        """Draw integer actions with the Gumbel-max trick (vectorized).
-
-        ``row`` draws for that batch row alone, as a batch of one: the
-        generator is consumed exactly as by a distribution built from
-        that row's logits, so per-row seeded streams stay reproducible
-        whatever batch the row was stacked into.
-        """
-        logits = self.logits.data if row is None else self.logits.data[row : row + 1]
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw integer actions with the Gumbel-max trick (vectorized)."""
+        logits = self.logits.data
         gumbel = rng.gumbel(size=logits.shape)
         return np.argmax(logits + gumbel, axis=-1)
 
@@ -109,10 +101,9 @@ class Bernoulli:
         """P(outcome = 1) per element (detached)."""
         return 1.0 / (1.0 + np.exp(-self.logits.data))
 
-    def sample(self, rng: np.random.Generator, row: Optional[int] = None) -> np.ndarray:
-        """Draw 0/1 outcomes (``row``: that batch row alone, see
-        :meth:`Categorical.sample`)."""
-        probs = self.probs() if row is None else self.probs()[row : row + 1]
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw 0/1 outcomes."""
+        probs = self.probs()
         return (rng.random(probs.shape) < probs).astype(np.int64)
 
     def mode(self) -> np.ndarray:

@@ -256,16 +256,12 @@ class PolicyEngine:
                 np.stack([r.worker_features for r in requests]),
             )
         )
-        with nn.no_grad():
-            # A fresh default_rng(seed) per sampled request, so a client
-            # can reproduce any served action offline.
-            moves, charges, log_probs = select_actions(
-                PolicyOutput.from_arrays(outputs),
-                [
-                    None if r.greedy else np.random.default_rng(r.seed)
-                    for r in requests
-                ],
-            )
+        # A fresh default_rng(seed) per sampled request, so a client can
+        # reproduce any served action offline.
+        moves, charges, log_probs = select_actions(
+            PolicyOutput.from_arrays(outputs),
+            [None if r.greedy else np.random.default_rng(r.seed) for r in requests],
+        )
         generation = self.generation
         results = [
             InferResult(
